@@ -7,14 +7,26 @@
 //! half of Algorithm 1 — is computed exactly once no matter how many
 //! requests name it, through whichever [`ProgramSpec`] source.
 //!
+//! In front of the program cache sits a *resolve memo* that maps the spec
+//! a request carries — a workload name, or the raw circuit text inline or
+//! read from a file — straight to its resident program. A repeat load
+//! therefore skips generating or parsing the program, writing its
+//! canonical text and hashing it: it costs one hash of the raw bytes and
+//! one byte compare. Memo entries are verified on hit by raw byte
+//! equality, so a collision costs a re-resolve, never a wrong program,
+//! and answer only while their program is still the one the cache holds,
+//! so a profile stays computed once even across a
+//! [`clear_cache`](Session::clear_cache).
+//!
 //! # Concurrency model
 //!
 //! `Session` is `Send + Sync` and every endpoint takes `&self`, so one
 //! session can be shared across threads (`Arc<Session>` or a plain
-//! borrow) and hammered concurrently. The program cache is sharded: 16
-//! independent `RwLock`-protected maps selected by the FNV content hash,
-//! so concurrent loads of *different* programs never contend on one lock
-//! and repeat loads of the *same* program take only a shard read lock.
+//! borrow) and hammered concurrently. The program cache and the resolve
+//! memo are sharded: 16 independent `RwLock`-protected maps each, selected
+//! by the FNV hash, so concurrent loads of *different* programs never
+//! contend on one lock and a repeat load of the *same* spec takes only
+//! read locks (its memo shard, then its cache shard).
 //! Cache counters ([`CacheStats`]) are atomics with the invariant
 //! `cache_hits + cache_misses == loads`; profiles stay exactly-once via
 //! `OnceLock` no matter how many threads race on a program.
@@ -26,6 +38,7 @@
 //! with hit/miss accounting and `profile_cached` flags bit-identical to
 //! the serial request-by-request order.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -233,24 +246,43 @@ pub(crate) fn fan_out<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync)
     }
 }
 
-/// Shard count of the program cache. 16 keeps the footprint trivial
-/// while making same-shard contention between distinct hot programs
-/// unlikely at service concurrency levels.
+/// Shard count of the program cache and the resolve memo. 16 keeps the
+/// footprint trivial while making same-shard contention between distinct
+/// hot programs unlikely at service concurrency levels.
 const SHARD_COUNT: usize = 16;
 
-/// The sharded program cache: `SHARD_COUNT` independent `RwLock`-guarded
-/// maps, selected by the FNV-1a content hash, so concurrent loads only
-/// contend when they actually touch the same shard.
-#[derive(Debug, Default)]
-struct ShardedCache {
-    shards: [RwLock<HashMap<u64, Arc<ProgramData>>>; SHARD_COUNT],
+/// `SHARD_COUNT` independent `RwLock`-guarded maps, selected by an FNV-1a
+/// key, so concurrent loads only contend when they actually touch the
+/// same shard.
+#[derive(Debug)]
+struct Sharded<V> {
+    shards: [RwLock<HashMap<u64, V>>; SHARD_COUNT],
 }
 
-impl ShardedCache {
-    fn shard(&self, key: u64) -> &RwLock<HashMap<u64, Arc<ProgramData>>> {
+impl<V> Default for Sharded<V> {
+    fn default() -> Self {
+        Sharded {
+            shards: std::array::from_fn(|_| RwLock::default()),
+        }
+    }
+}
+
+impl<V> Sharded<V> {
+    fn shard(&self, key: u64) -> &RwLock<HashMap<u64, V>> {
         &self.shards[(key % SHARD_COUNT as u64) as usize]
     }
 
+    fn clear(&self) {
+        for shard in &self.shards {
+            shard.write().expect("no poisoning").clear();
+        }
+    }
+}
+
+/// The program cache, keyed by the FNV-1a of the canonical circuit text.
+type ShardedCache = Sharded<Arc<ProgramData>>;
+
+impl ShardedCache {
     /// Fetches the entry for `key` if present *and* its source matches
     /// (a 64-bit collision must repeat work, not hand a request some
     /// other program's profile).
@@ -260,6 +292,15 @@ impl ShardedCache {
             .get(&key)
             .filter(|shared| shared.source == source)
             .map(Arc::clone)
+    }
+
+    /// Whether `shared` is still the resident entry under `key` (a
+    /// pointer compare, no text compare).
+    fn holds(&self, key: u64, shared: &Arc<ProgramData>) -> bool {
+        let shard = self.shard(key).read().expect("no poisoning");
+        shard
+            .get(&key)
+            .is_some_and(|resident| Arc::ptr_eq(resident, shared))
     }
 
     /// Inserts `candidate` under `key`, unless a matching entry appeared
@@ -286,11 +327,113 @@ impl ShardedCache {
             }
         }
     }
+}
 
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().expect("no poisoning").clear();
+/// What a request's spec carries before any generate or parse: a workload
+/// name, or circuit text (inline, or read from the named file).
+#[derive(Debug)]
+enum RawSpec<'a> {
+    Name(&'a str),
+    Text(Cow<'a, str>),
+}
+
+impl RawSpec<'_> {
+    /// Reads the spec's raw bytes; a `Path` is read on every call, so a
+    /// file rewritten on disk is seen by the next load.
+    fn read(spec: &ProgramSpec) -> Result<RawSpec<'_>, LeqaError> {
+        Ok(match spec {
+            ProgramSpec::Bench { name } => RawSpec::Name(name),
+            ProgramSpec::Path { path } => RawSpec::Text(Cow::Owned(
+                std::fs::read_to_string(path)
+                    .map_err(LeqaError::from)
+                    .map_err(|e| e.context(format!("reading `{path}`")))?,
+            )),
+            ProgramSpec::Source { text } => RawSpec::Text(Cow::Borrowed(text)),
+        })
+    }
+
+    /// The resolve-memo key: FNV-1a of the name or the raw text.
+    fn memo_key(&self) -> u64 {
+        match self {
+            RawSpec::Name(name) => fnv1a(name.as_bytes()),
+            RawSpec::Text(text) => fnv1a(text.as_bytes()),
         }
+    }
+}
+
+/// The raw spec a memo entry was resolved from, kept for verify-on-hit.
+#[derive(Debug)]
+enum MemoRaw {
+    /// A workload name (generators are pure).
+    Name(Box<str>),
+    /// Circuit text that differs from its canonical form.
+    Text(Box<str>),
+    /// Circuit text equal to the program's canonical source: verified
+    /// against [`ProgramData::source`], so no second copy is stored.
+    Canonical,
+}
+
+/// One resolve-memo entry: a raw spec resolved to its resident program.
+#[derive(Debug)]
+struct MemoEntry {
+    raw: MemoRaw,
+    /// The circuit's `.name` header, from which each hit derives its
+    /// label by the same rule a full resolve uses.
+    header: Option<Box<str>>,
+    /// The program's key in the program cache.
+    cache_key: u64,
+    shared: Arc<ProgramData>,
+}
+
+impl MemoEntry {
+    /// Whether this entry was resolved from exactly `raw` (a name never
+    /// matches text, nor text a name).
+    fn matches(&self, raw: &RawSpec) -> bool {
+        match (&self.raw, raw) {
+            (MemoRaw::Name(kept), RawSpec::Name(name)) => **kept == **name,
+            (MemoRaw::Text(kept), RawSpec::Text(text)) => **kept == **text,
+            (MemoRaw::Canonical, RawSpec::Text(text)) => self.shared.source == **text,
+            _ => false,
+        }
+    }
+}
+
+/// The resolve memo, keyed by [`RawSpec::memo_key`].
+type ResolveMemo = Sharded<MemoEntry>;
+
+impl ResolveMemo {
+    /// The resident program `raw` resolved to, labelled for `spec`, if
+    /// the entry under `key` was resolved from the very same bytes and
+    /// its program is still the one `cache` holds. An entry whose program
+    /// was cleared (or replaced by a colliding one) while its load was
+    /// in flight therefore costs a re-resolve, never a second profile.
+    fn recall(
+        &self,
+        key: u64,
+        raw: &RawSpec,
+        spec: &ProgramSpec,
+        cache: &ShardedCache,
+    ) -> Option<(Arc<ProgramData>, String)> {
+        // Lock order: a memo shard, then a cache shard; nothing takes
+        // them the other way round.
+        let shard = self.shard(key).read().expect("no poisoning");
+        shard
+            .get(&key)
+            .filter(|entry| entry.matches(raw) && cache.holds(entry.cache_key, &entry.shared))
+            .map(|entry| {
+                let label = spec_label(spec, entry.header.as_deref());
+                (Arc::clone(&entry.shared), label)
+            })
+    }
+
+    /// Records `entry` under `key`; a colliding resident is replaced (the
+    /// verify-on-hit recall keeps either correct, a collision only ever
+    /// costs re-resolves).
+    fn remember(&self, key: u64, entry: MemoEntry) {
+        self.shard(key)
+            .write()
+            .expect("no poisoning")
+            .insert(key, entry);
     }
 }
 
@@ -384,6 +527,7 @@ impl SessionBuilder {
             params: self.params.unwrap_or_else(PhysicalParams::dac13),
             options,
             cache: ShardedCache::default(),
+            memo: ResolveMemo::default(),
             streams: RwLock::new(HashMap::new()),
             streaming_threshold: self
                 .streaming_threshold
@@ -406,6 +550,8 @@ pub struct Session {
     params: PhysicalParams,
     options: EstimatorOptions,
     cache: ShardedCache,
+    /// Raw spec → resident program, consulted before any resolve work.
+    memo: ResolveMemo,
     /// Streamed programs, keyed by canonical stream name. A single map
     /// (not sharded): entries are a handful of generator descriptors, and
     /// the hot path is a read lock.
@@ -500,6 +646,7 @@ impl Session {
     /// Drops every cached program (in-memory only; disk snapshots, if
     /// configured, survive and re-warm the next loads).
     pub fn clear_cache(&self) {
+        self.memo.clear();
         self.cache.clear();
         self.streams.write().expect("no poisoning").clear();
     }
@@ -508,7 +655,11 @@ impl Session {
     ///
     /// The cache key is a content hash of the canonical circuit text, so
     /// the same program reached through different specs — a benchmark
-    /// name, a file, inline source — shares one profile.
+    /// name, a file, inline source — shares one profile. A spec loaded
+    /// before is answered from the resolve memo instead: a name costs a
+    /// hash and a compare, text (inline or re-read from its file) costs a
+    /// hash of its bytes and a byte compare, and neither is generated,
+    /// parsed or re-written. Errors are never memoized.
     ///
     /// # Errors
     ///
@@ -517,51 +668,6 @@ impl Session {
     /// for bad circuit text.
     pub fn load(&self, spec: &ProgramSpec) -> Result<ProgramHandle, LeqaError> {
         self.load_tracking(spec).map(|(handle, _)| handle)
-    }
-
-    /// Resolves a spec to its canonical identity (label, parsed circuit,
-    /// canonical text, content key) without touching the cache.
-    fn resolve_spec(&self, spec: &ProgramSpec) -> Result<ResolvedSpec, LeqaError> {
-        let (label, circuit) = match spec {
-            ProgramSpec::Bench { name } => {
-                let circuit = leqa_workloads::circuit_by_name(name).ok_or_else(|| {
-                    match leqa_workloads::check_workload_name(name) {
-                        // A recognized parametric family with out-of-range
-                        // parameters (`shor_0`, an overflowing width…) is a
-                        // *invalid* request, not an unknown name.
-                        Err(leqa_workloads::WorkloadNameError::Invalid { reason }) => {
-                            LeqaError::new(ErrorKind::Invalid, reason)
-                        }
-                        _ => LeqaError::usage(format!(
-                            "unknown benchmark `{name}`; names follow Table 3 (e.g. gf2^16mult) \
-                             or the parametric forms (e.g. qft_64)"
-                        )),
-                    }
-                })?;
-                (name.clone(), circuit)
-            }
-            ProgramSpec::Path { path } => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(LeqaError::from)
-                    .map_err(|e| e.context(format!("reading `{path}`")))?;
-                let circuit = parser::parse(&text)?;
-                let label = circuit.name().unwrap_or(path.as_str()).to_string();
-                (label, circuit)
-            }
-            ProgramSpec::Source { text } => {
-                let circuit = parser::parse(text)?;
-                let label = circuit.name().unwrap_or("<inline>").to_string();
-                (label, circuit)
-            }
-        };
-        let source = parser::write(&circuit);
-        let key = fnv1a(source.as_bytes());
-        Ok(ResolvedSpec {
-            label,
-            circuit,
-            source,
-            key,
-        })
     }
 
     /// Lowers a resolved circuit into the shareable program data.
@@ -588,8 +694,31 @@ impl Session {
     /// Like [`load`](Self::load), also reporting whether the program came
     /// from the cache.
     fn load_tracking(&self, spec: &ProgramSpec) -> Result<(ProgramHandle, bool), LeqaError> {
-        let resolved = self.resolve_spec(spec)?;
-        self.load_resolved(resolved)
+        let raw = RawSpec::read(spec)?;
+        let memo_key = raw.memo_key();
+        if let Some((shared, label)) = self.memo.recall(memo_key, &raw, spec, &self.cache) {
+            self.counters.record_hit();
+            return Ok((self.handle(label, shared), true));
+        }
+        let resolved = resolve_raw(spec, &raw)?;
+        let header = resolved.circuit.name().map(Box::from);
+        let cache_key = resolved.key;
+        let raw = match raw {
+            RawSpec::Name(name) => MemoRaw::Name(name.into()),
+            RawSpec::Text(text) if *text == resolved.source => MemoRaw::Canonical,
+            RawSpec::Text(text) => MemoRaw::Text(text.into()),
+        };
+        let (handle, cached) = self.load_resolved(resolved)?;
+        self.memo.remember(
+            memo_key,
+            MemoEntry {
+                raw,
+                header,
+                cache_key,
+                shared: Arc::clone(&handle.shared),
+            },
+        );
+        Ok((handle, cached))
     }
 
     /// The cache half of a load: fetch-or-lower an already-resolved
@@ -729,8 +858,10 @@ impl Session {
     pub fn batch(&self, requests: &[Request]) -> BatchResponse {
         // Phase 1 (concurrent, cache-untouched): resolve every request's
         // spec to canonical text + content key.
-        let resolved: Vec<Result<ResolvedSpec, LeqaError>> =
-            fan_out(requests, |req| self.resolve_spec(req.program()));
+        let resolved: Vec<Result<ResolvedSpec, LeqaError>> = fan_out(requests, |req| {
+            let spec = req.program();
+            resolve_raw(spec, &RawSpec::read(spec)?)
+        });
 
         // Phase 2: pick, in request order, the first namer of each
         // distinct content key — exactly the request that would miss the
@@ -1140,6 +1271,46 @@ impl Session {
     }
 }
 
+/// The label a spec implies: the workload name for a `Bench`, otherwise
+/// the circuit's `.name` header, falling back to the path or `<inline>`.
+fn spec_label(spec: &ProgramSpec, header: Option<&str>) -> String {
+    match spec {
+        ProgramSpec::Bench { name } => name.clone(),
+        ProgramSpec::Path { path } => header.unwrap_or(path).to_string(),
+        ProgramSpec::Source { .. } => header.unwrap_or("<inline>").to_string(),
+    }
+}
+
+/// Generates or parses a spec's raw bytes into its canonical identity.
+fn resolve_raw(spec: &ProgramSpec, raw: &RawSpec) -> Result<ResolvedSpec, LeqaError> {
+    let circuit = match raw {
+        RawSpec::Name(name) => leqa_workloads::circuit_by_name(name).ok_or_else(|| {
+            match leqa_workloads::check_workload_name(name) {
+                // A recognized parametric family with out-of-range
+                // parameters (`shor_0`, an overflowing width…) is an
+                // *invalid* request, not an unknown name.
+                Err(leqa_workloads::WorkloadNameError::Invalid { reason }) => {
+                    LeqaError::new(ErrorKind::Invalid, reason)
+                }
+                _ => LeqaError::usage(format!(
+                    "unknown benchmark `{name}`; names follow Table 3 (e.g. gf2^16mult) \
+                     or the parametric forms (e.g. qft_64)"
+                )),
+            }
+        })?,
+        RawSpec::Text(text) => parser::parse(text)?,
+    };
+    let label = spec_label(spec, circuit.name());
+    let source = parser::write(&circuit);
+    let key = fnv1a(source.as_bytes());
+    Ok(ResolvedSpec {
+        label,
+        circuit,
+        source,
+        key,
+    })
+}
+
 /// FNV-1a over the canonical circuit bytes: stable, dependency-free, and
 /// plenty for a cache key (lookups verify the source on hit, so a
 /// collision costs a rebuild, never a wrong answer). The same hash picks
@@ -1161,6 +1332,118 @@ mod tests {
     fn fnv_distinguishes_and_repeats() {
         assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
         assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
+    }
+
+    fn source_of(spec: &ProgramSpec) -> &str {
+        match spec {
+            ProgramSpec::Source { text } => text,
+            other => panic!("not a source spec: {other:?}"),
+        }
+    }
+
+    fn entry_for(handle: &ProgramHandle) -> MemoEntry {
+        MemoEntry {
+            raw: MemoRaw::Canonical,
+            header: None,
+            cache_key: fnv1a(handle.source().as_bytes()),
+            shared: Arc::clone(&handle.shared),
+        }
+    }
+
+    #[test]
+    fn memo_collisions_cost_a_re_resolve_never_a_wrong_program() {
+        let s = Session::builder().build().unwrap();
+        let a = ProgramSpec::source(".qubits 2\ncnot 0 1\n");
+        let b = ProgramSpec::source(".qubits 3\ncnot 0 1\ncnot 1 2\n");
+        let raw_a = RawSpec::Text(Cow::Borrowed(source_of(&a)));
+        let raw_b = RawSpec::Text(Cow::Borrowed(source_of(&b)));
+        let ha = s.load(&a).unwrap();
+        let hb = s.load(&b).unwrap();
+
+        // Two raw texts forced onto one key: each recalls only its own.
+        const KEY: u64 = 7;
+        s.memo.remember(KEY, entry_for(&ha));
+        assert!(s.memo.recall(KEY, &raw_b, &b, &s.cache).is_none());
+        assert!(Arc::ptr_eq(
+            &s.memo.recall(KEY, &raw_a, &a, &s.cache).unwrap().0,
+            &ha.shared
+        ));
+        s.memo.remember(KEY, entry_for(&hb));
+        assert!(s.memo.recall(KEY, &raw_a, &a, &s.cache).is_none());
+        assert!(Arc::ptr_eq(
+            &s.memo.recall(KEY, &raw_b, &b, &s.cache).unwrap().0,
+            &hb.shared
+        ));
+
+        // The same collision on the keys a load consults: the other
+        // program sits under each text's own key, and each load still
+        // gets its own program back, as a cache hit after a re-resolve.
+        for (spec, raw, own, other) in [(&b, &raw_b, &hb, &ha), (&a, &raw_a, &ha, &hb)] {
+            s.memo.remember(raw.memo_key(), entry_for(other));
+            let before = s.cache_stats();
+            let (got, cached) = s.load_tracking(spec).unwrap();
+            assert!(Arc::ptr_eq(&got.shared, &own.shared));
+            assert_eq!(got.source(), source_of(spec));
+            assert!(cached);
+            let after = s.cache_stats();
+            assert_eq!(after.cache_hits, before.cache_hits + 1);
+            assert_eq!(after.cache_misses, before.cache_misses);
+            // The re-resolve repaired the slot.
+            let (kept, _) = s.memo.recall(raw.memo_key(), raw, spec, &s.cache).unwrap();
+            assert!(Arc::ptr_eq(&kept, &own.shared));
+        }
+    }
+
+    #[test]
+    fn memo_hits_only_programs_still_cached() {
+        // A load whose `clear_cache` lands between its cache insert and
+        // its memo insert leaves the memo naming a dropped program. That
+        // entry must not answer: the spec re-resolves, and the program it
+        // reaches is the one every other spec of it shares.
+        let s = Session::builder().build().unwrap();
+        let a = ProgramSpec::source(".qubits 2\ncnot 0 1\n");
+        let raw_a = RawSpec::Text(Cow::Borrowed(source_of(&a)));
+        let dropped = s.load(&a).unwrap();
+        s.clear_cache();
+        s.memo.remember(raw_a.memo_key(), entry_for(&dropped));
+
+        let before = s.cache_stats();
+        let (reloaded, cached) = s.load_tracking(&a).unwrap();
+        assert!(!cached);
+        assert!(!Arc::ptr_eq(&reloaded.shared, &dropped.shared));
+        assert_eq!(s.cache_stats().cache_misses, before.cache_misses + 1);
+
+        let other = ProgramSpec::source("# the same program\n.qubits 2\ncnot 0 1\n");
+        let (shared, cached) = s.load_tracking(&other).unwrap();
+        assert!(cached);
+        assert!(Arc::ptr_eq(&shared.shared, &reloaded.shared));
+        let (again, _) = s.load_tracking(&a).unwrap();
+        assert!(Arc::ptr_eq(&again.shared, &reloaded.shared));
+    }
+
+    #[test]
+    fn memo_stores_no_second_copy_of_canonical_text() {
+        let s = Session::builder().build().unwrap();
+        let canonical = ".name w\n.qubits 3\ntoffoli 0 1 2\ncnot 0 1\nh 2\ntdg 1\n";
+        let spaced = "# comment\n.name w\n.qubits 3\ntoffoli 0 1 2\ncnot 0 1\nh 2\ntdg 1\n";
+        for (text, copied) in [(canonical, false), (spaced, true)] {
+            s.load(&ProgramSpec::source(text)).unwrap();
+            let key = fnv1a(text.as_bytes());
+            let shard = s.memo.shard(key).read().unwrap();
+            let entry = &shard[&key];
+            assert_eq!(matches!(entry.raw, MemoRaw::Text(_)), copied, "{text:?}");
+            assert_eq!(entry.header.as_deref(), Some("w"));
+        }
+    }
+
+    #[test]
+    fn memo_keeps_names_and_texts_apart() {
+        // A source whose text is a memoized workload name shares its memo
+        // key, and must still be parsed (and fail) as text.
+        let s = Session::builder().build().unwrap();
+        s.load(&ProgramSpec::bench("qft_4")).unwrap();
+        let err = s.load(&ProgramSpec::source("qft_4")).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Parse);
     }
 
     #[test]

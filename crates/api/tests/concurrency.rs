@@ -202,3 +202,76 @@ fn clear_cache_is_safe_under_concurrent_loads() {
     assert_eq!(stats.cache_hits + stats.cache_misses, stats.loads);
     assert_eq!(stats.loads, 20);
 }
+
+/// Repeat loads through the resolve memo — workload names, canonical and
+/// non-canonical inline text, and one program reached both by name and by
+/// text — hammered from many threads while another thread clears the
+/// cache. Every reply must equal the serial reply for its request: the
+/// warm one (a hit), or the cold one when a clear forced a reload.
+#[test]
+fn memo_hits_stay_byte_identical_under_clear_cache() {
+    let canonical_qft = Session::builder()
+        .build()
+        .unwrap()
+        .load(&ProgramSpec::bench("qft_8"))
+        .unwrap()
+        .source()
+        .to_string();
+    let requests = vec![
+        Request::Estimate(EstimateRequest::new(ProgramSpec::bench("qft_8"))),
+        Request::Estimate(EstimateRequest::new(ProgramSpec::bench("8bitadder"))),
+        Request::Estimate(EstimateRequest::new(ProgramSpec::source(canonical_qft))),
+        Request::Estimate(EstimateRequest::new(ProgramSpec::source(
+            ".name tiny\n.qubits 3\ncnot 0 1\nh 2\ncnot 1 2\n",
+        ))),
+        Request::Estimate(EstimateRequest::new(ProgramSpec::source(
+            "# not canonical\n.qubits 3\n\ncnot 0 1\nh 2\n",
+        ))),
+        Request::Sweep(SweepRequest::new(ProgramSpec::bench("8bitadder"), [10, 20])),
+    ];
+    let cold: Vec<String> = requests
+        .iter()
+        .map(|req| wire(&Session::builder().build().unwrap().execute(req)))
+        .collect();
+    let session = Session::builder().build().unwrap();
+    for req in &requests {
+        session.execute(req).unwrap();
+    }
+    let warm: Vec<String> = requests
+        .iter()
+        .map(|req| wire(&session.execute(req)))
+        .collect();
+
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 6;
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (session, requests, warm, cold) = (&session, &requests, &warm, &cold);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    for k in 0..requests.len() {
+                        // Each thread walks the set from its own offset.
+                        let i = (k + t + round) % requests.len();
+                        let got = wire(&session.execute(&requests[i]));
+                        assert!(
+                            got == warm[i] || got == cold[i],
+                            "request {i} diverged from the serial replies: {got}"
+                        );
+                    }
+                }
+            });
+        }
+        let session = &session;
+        scope.spawn(move || {
+            for _ in 0..20 {
+                session.clear_cache();
+                std::thread::yield_now();
+            }
+        });
+    });
+
+    let stats = session.cache_stats();
+    assert_eq!(stats.cache_hits + stats.cache_misses, stats.loads);
+    let total = requests.len() * (2 + THREADS * ROUNDS);
+    assert_eq!(stats.loads, total as u64);
+}

@@ -381,3 +381,109 @@ fn invalid_shor_parameters_get_a_typed_error() {
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Usage, "{err}");
 }
+
+// ── Resolve memo ─────────────────────────────────────────────────────────
+
+/// A file rewritten between two loads of the same path is read again: the
+/// second reply describes the new program, labelled by the same rule (a
+/// `.name` header if present, otherwise the path).
+#[test]
+fn rewritten_files_are_reloaded() {
+    let s = session();
+    let dir = std::env::temp_dir().join(format!("leqa-api-rewrite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("prog.qc");
+    let spec = ProgramSpec::path(path.to_string_lossy().into_owned());
+    let req = EstimateRequest::new(spec);
+
+    std::fs::write(&path, ".qubits 2\ncnot 0 1\n").unwrap();
+    let first = s.estimate(&req).unwrap();
+    assert_eq!(first.program.qubits, 2);
+    assert_eq!(first.program.label, path.to_string_lossy());
+    assert!(s.estimate(&req).unwrap().profile_cached);
+
+    std::fs::write(&path, ".name grown\n.qubits 3\ncnot 0 1\ncnot 1 2\nh 2\n").unwrap();
+    let second = s.estimate(&req).unwrap();
+    let fresh = fresh_estimate(&req);
+    assert_eq!(second.program, fresh.program);
+    assert_eq!(second.program.qubits, 3);
+    assert_eq!(second.program.label, "grown");
+    assert!(!second.profile_cached);
+    assert_eq!(second.latency_us, fresh.latency_us);
+
+    // And back: the first program is still resident, so this is a hit.
+    std::fs::write(&path, ".qubits 2\ncnot 0 1\n").unwrap();
+    let third = s.estimate(&req).unwrap();
+    assert_eq!(third.program, first.program);
+    assert!(third.profile_cached);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The estimate a fresh session gives, for comparison with a warm one.
+fn fresh_estimate(req: &EstimateRequest) -> leqa_api::EstimateResponse {
+    session().estimate(req).unwrap()
+}
+
+/// Inline text without a `.name` header keeps its `<inline>` label on
+/// repeat loads, and different text is never served another's program.
+#[test]
+fn repeat_inline_sources_keep_label_and_program() {
+    let s = session();
+    let small = EstimateRequest::new(ProgramSpec::source(".qubits 2\ncnot 0 1\n"));
+    let large = EstimateRequest::new(ProgramSpec::source(".qubits 3\ncnot 0 1\ncnot 1 2\n"));
+    for _ in 0..2 {
+        for req in [&small, &large] {
+            let resp = s.estimate(req).unwrap();
+            let fresh = fresh_estimate(req);
+            assert_eq!(resp.program, fresh.program);
+            assert_eq!(resp.program.label, "<inline>");
+            assert_eq!(resp.latency_us, fresh.latency_us);
+        }
+    }
+    let stats = s.cache_stats();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (2, 2));
+}
+
+/// Non-canonical text (comments, blank lines) is memoized too, and a hit
+/// on it shares the profile of the canonical program.
+#[test]
+fn non_canonical_text_hits_the_memo() {
+    let s = session();
+    let canonical = ProgramSpec::source(".qubits 2\ncnot 0 1\n");
+    let spaced = ProgramSpec::source("# a comment\n.qubits 2\n\ncnot 0 1\n");
+    let first = s.load(&canonical).unwrap();
+    let second = s.load(&spaced).unwrap();
+    let third = s.load(&spaced).unwrap();
+    assert_eq!(second.source(), first.source());
+    assert_eq!(third.source(), first.source());
+    let stats = s.cache_stats();
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits, stats.loads),
+        (1, 2, 3)
+    );
+}
+
+/// Failed loads are never memoized: the same bad spec twice gets the same
+/// typed error, and no load, hit or miss is counted for either.
+#[test]
+fn errors_are_never_memoized() {
+    let s = session();
+    s.load(&ProgramSpec::bench("qft_4")).unwrap();
+    let before = s.cache_stats();
+    for (spec, kind) in [
+        (ProgramSpec::bench("no_such_bench"), ErrorKind::Usage),
+        (ProgramSpec::bench("shor_0"), ErrorKind::Invalid),
+        (
+            ProgramSpec::source(".qubits 2\nfrobnicate 0 1\n"),
+            ErrorKind::Parse,
+        ),
+    ] {
+        let req = EstimateRequest::new(spec);
+        let first = s.estimate(&req).unwrap_err();
+        let second = s.estimate(&req).unwrap_err();
+        assert_eq!(first.kind(), kind, "{first}");
+        assert_eq!(second.kind(), kind, "{second}");
+        assert_eq!(first.to_string(), second.to_string());
+    }
+    assert_eq!(s.cache_stats(), before);
+}
