@@ -7,7 +7,7 @@
 //! structs are `#[non_exhaustive]` — fields can be added without breaking
 //! callers.
 
-use qspr::{MovementModel, PlacementStrategy, RouterStrategy, SchedulerStrategy};
+use qspr::{MovementModel, PlacementStrategy, RouterStrategy};
 
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::Json;
@@ -488,11 +488,6 @@ pub struct MapRequest {
     pub router: RouterStrategy,
     /// Movement model (wire names: `home|drift`).
     pub movement: MovementModel,
-    /// Scheduling engine (wire names: `greedy|mobility`).
-    pub scheduler: SchedulerStrategy,
-    /// Pass-pipeline spec (`dce|dce:LO-HI|partition:K`, comma-separated);
-    /// `None` runs no pipeline.
-    pub passes: Option<String>,
 }
 
 pub(crate) fn placement_name(p: PlacementStrategy) -> &'static str {
@@ -544,19 +539,28 @@ pub(crate) fn movement_from_name(name: &str) -> Option<MovementModel> {
     })
 }
 
-pub(crate) fn scheduler_name(s: SchedulerStrategy) -> &'static str {
-    match s {
-        SchedulerStrategy::Greedy => "greedy",
-        SchedulerStrategy::Mobility => "mobility",
+/// Wire compatibility for mapper knobs that no longer exist (the
+/// mobility scheduler and the pass pipeline): `key` may be absent or
+/// carry its old default (`is_default`); any other value is refused as
+/// [`ErrorKind::Invalid`] with `message`, which names the removed feature.
+pub(crate) fn removed_knob(
+    value: &Json,
+    key: &str,
+    is_default: impl Fn(&Json) -> bool,
+    message: &str,
+) -> Result<(), LeqaError> {
+    match value.get(key) {
+        Some(v) if !is_default(v) => Err(LeqaError::new(ErrorKind::Invalid, message)),
+        _ => Ok(()),
     }
 }
 
-pub(crate) fn scheduler_from_name(name: &str) -> Option<SchedulerStrategy> {
-    Some(match name {
-        "greedy" => SchedulerStrategy::Greedy,
-        "mobility" => SchedulerStrategy::Mobility,
-        _ => return None,
-    })
+pub(crate) const REMOVED_PASSES: &str =
+    "`passes` accepts only null or \"\": the mapper pass pipeline was removed";
+
+/// The old default of a `passes` field: no pipeline.
+pub(crate) fn no_passes(v: &Json) -> bool {
+    matches!(v, Json::Null) || v.as_str() == Some("")
 }
 
 impl MapRequest {
@@ -571,8 +575,6 @@ impl MapRequest {
             placement: PlacementStrategy::default(),
             router: RouterStrategy::default(),
             movement: MovementModel::default(),
-            scheduler: SchedulerStrategy::default(),
-            passes: None,
         }
     }
 
@@ -611,21 +613,6 @@ impl MapRequest {
         self
     }
 
-    /// Sets the scheduling engine.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerStrategy) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Runs a pass pipeline before mapping (spec syntax:
-    /// `dce|dce:LO-HI|partition:K`, comma-separated).
-    #[must_use]
-    pub fn with_passes(mut self, spec: impl Into<String>) -> Self {
-        self.passes = Some(spec.into());
-        self
-    }
-
     /// Serializes the request envelope.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -641,11 +628,6 @@ impl MapRequest {
             ("placement", Json::str(placement_name(self.placement))),
             ("router", Json::str(router_name(self.router))),
             ("movement", Json::str(movement_name(self.movement))),
-            ("scheduler", Json::str(scheduler_name(self.scheduler))),
-            (
-                "passes",
-                self.passes.as_deref().map(Json::str).unwrap_or(Json::Null),
-            ),
         ])
     }
 
@@ -679,6 +661,13 @@ impl MapRequest {
                 }),
             }
         }
+        removed_knob(
+            value,
+            "scheduler",
+            |v| v.as_str() == Some("greedy"),
+            "`scheduler` accepts only \"greedy\": the mobility scheduler was removed",
+        )?;
+        removed_knob(value, "passes", no_passes, REMOVED_PASSES)?;
         Ok(MapRequest {
             program: ProgramSpec::from_json(field(value, "program", "map request")?)?,
             fabric: FabricSpec::opt_from_json(value, "fabric")?,
@@ -686,11 +675,6 @@ impl MapRequest {
             placement: strategy(value, "placement", placement_from_name, Default::default())?,
             router: strategy(value, "router", router_from_name, Default::default())?,
             movement: strategy(value, "movement", movement_from_name, Default::default())?,
-            scheduler: strategy(value, "scheduler", scheduler_from_name, Default::default())?,
-            passes: value
-                .get("passes")
-                .and_then(Json::as_str)
-                .map(str::to_string),
         })
     }
 }

@@ -301,10 +301,6 @@ impl From<qspr::MapError> for LeqaError {
     fn from(e: qspr::MapError) -> Self {
         let kind = match &e {
             qspr::MapError::Unroutable { .. } => ErrorKind::Unroutable,
-            // A broken pass invariant is a bug in a pass, not bad input:
-            // surface it as an internal error (exit 70), message naming
-            // the pass.
-            qspr::MapError::InvariantViolation { .. } => ErrorKind::Internal,
             _ => ErrorKind::Map,
         };
         LeqaError::new(kind, format!("mapping error: {e}"))
@@ -390,16 +386,5 @@ mod tests {
         .into();
         assert_eq!(unroutable.kind(), ErrorKind::Unroutable);
         assert_eq!(unroutable.exit_code(), 10);
-
-        // A pipeline invariant violation is a bug in a pass, not a user
-        // error: it surfaces as `Internal` with the pass named.
-        let violated: LeqaError = qspr::MapError::InvariantViolation {
-            pass: "dce".to_string(),
-            reason: "graph lost its end node".to_string(),
-        }
-        .into();
-        assert_eq!(violated.kind(), ErrorKind::Internal);
-        assert_eq!(violated.exit_code(), 70);
-        assert!(violated.to_string().contains("dce"));
     }
 }

@@ -29,7 +29,7 @@
 //!   to an independent [`Session::estimate`] call (the engine contract,
 //!   pinned by `crates/api/tests/experiment.rs`).
 //! * `map` / `compare` modes — the remaining cells fan out over the
-//!   persistent worker pool (`parallel` feature), one QSPR run per cell.
+//!   persistent worker pool, one QSPR run per cell.
 //!
 //! Results stream as NDJSON rows (one per cell, byte-stable key order)
 //! followed by one summary record carrying min/max/argmin latency per
@@ -39,22 +39,20 @@
 
 use std::sync::Arc;
 
+use leqa::exec::parallel_map;
 use leqa::sweep::{sweep_profile_squares, SweepPoint};
 use leqa::{Estimator, ProgramProfile};
 use leqa_fabric::{FabricDims, FabricMap, Micros, PhysicalParams, SplitMix64};
-use qspr::{
-    Mapper, MapperConfig, MovementModel, PassManager, PlacementStrategy, RouterStrategy,
-    SchedulerStrategy,
-};
+use qspr::{Mapper, MapperConfig, MovementModel, PlacementStrategy, RouterStrategy};
 
 use crate::dto::{
-    check_schema_version, field, json_opt_num, movement_from_name, movement_name, opt_f64, opt_u32,
-    opt_u64, router_from_name, router_name, scheduler_from_name, scheduler_name, str_field,
-    u64_field, ProgramSpec, SCHEMA_VERSION,
+    check_schema_version, field, json_opt_num, movement_from_name, movement_name, no_passes,
+    opt_f64, opt_u32, opt_u64, removed_knob, router_from_name, router_name, str_field, u64_field,
+    ProgramSpec, REMOVED_PASSES, SCHEMA_VERSION,
 };
 use crate::error::{ErrorKind, LeqaError};
 use crate::json::Json;
-use crate::session::{fan_out, CacheStats, ProgramHandle, Session};
+use crate::session::{CacheStats, ProgramHandle, Session};
 
 /// Hard cap on materialized fabric sides per experiment, enforced by an
 /// O(#entries) arithmetic pre-check so even a spec without a
@@ -473,13 +471,6 @@ pub struct ScenarioSpec {
     /// Movement variants (default: `[home]`); same applicability as
     /// routers.
     pub movements: Vec<MovementModel>,
-    /// Scheduler variants (default: `[greedy]`); same applicability as
-    /// routers.
-    pub schedulers: Vec<SchedulerStrategy>,
-    /// Pass-pipeline spec run before every mapped cell
-    /// (`dce|dce:LO-HI|partition:K`, comma-separated); `None` runs no
-    /// pipeline. Estimate cells ignore it.
-    pub passes: Option<String>,
     /// What each cell runs.
     pub mode: ExperimentMode,
     /// Which fields each row carries.
@@ -506,8 +497,6 @@ impl ScenarioSpec {
             params: vec![ParamVariant::base("default")],
             routers: vec![RouterStrategy::Xy],
             movements: vec![MovementModel::HomeBased],
-            schedulers: vec![SchedulerStrategy::Greedy],
-            passes: None,
             mode: ExperimentMode::Estimate,
             select: ResultSelect::Full,
             filter: AxisFilter::default(),
@@ -533,24 +522,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn with_movements(mut self, movements: impl IntoIterator<Item = MovementModel>) -> Self {
         self.movements = movements.into_iter().collect();
-        self
-    }
-
-    /// Replaces the scheduler axis.
-    #[must_use]
-    pub fn with_schedulers(
-        mut self,
-        schedulers: impl IntoIterator<Item = SchedulerStrategy>,
-    ) -> Self {
-        self.schedulers = schedulers.into_iter().collect();
-        self
-    }
-
-    /// Runs a pass pipeline before every mapped cell (spec syntax:
-    /// `dce|dce:LO-HI|partition:K`, comma-separated).
-    #[must_use]
-    pub fn with_passes(mut self, spec: impl Into<String>) -> Self {
-        self.passes = Some(spec.into());
         self
     }
 
@@ -619,19 +590,6 @@ impl ScenarioSpec {
                         .map(|&m| Json::str(movement_name(m)))
                         .collect(),
                 ),
-            ),
-            (
-                "schedulers",
-                Json::Arr(
-                    self.schedulers
-                        .iter()
-                        .map(|&s| Json::str(scheduler_name(s)))
-                        .collect(),
-                ),
-            ),
-            (
-                "passes",
-                self.passes.as_deref().map(Json::str).unwrap_or(Json::Null),
             ),
             ("mode", Json::str(self.mode.name())),
             ("select", Json::str(self.select.name())),
@@ -712,16 +670,18 @@ impl ScenarioSpec {
             movement_from_name,
             MovementModel::HomeBased,
         )?;
-        let schedulers = named_axis(
+        removed_knob(
             value,
             "schedulers",
-            scheduler_from_name,
-            SchedulerStrategy::Greedy,
+            |v| match v {
+                Json::Null => true,
+                v => v.as_arr().is_some_and(|axis| {
+                    !axis.is_empty() && axis.iter().all(|s| s.as_str() == Some("greedy"))
+                }),
+            },
+            "`schedulers` accepts only [\"greedy\"]: the mobility scheduler was removed",
         )?;
-        let passes = value
-            .get("passes")
-            .and_then(Json::as_str)
-            .map(str::to_string);
+        removed_knob(value, "passes", no_passes, REMOVED_PASSES)?;
         let mode = match value.get("mode") {
             None | Some(Json::Null) => ExperimentMode::Estimate,
             Some(v) => v
@@ -757,8 +717,6 @@ impl ScenarioSpec {
             params,
             routers,
             movements,
-            schedulers,
-            passes,
             mode,
             select,
             filter,
@@ -826,15 +784,6 @@ impl ScenarioSpec {
         if self.movements.is_empty() {
             return Err(invalid("experiment movement axis is empty".into()));
         }
-        if self.schedulers.is_empty() {
-            return Err(invalid("experiment scheduler axis is empty".into()));
-        }
-        if let Some(spec) = self.passes.as_deref() {
-            // Validate the pipeline spec at plan time so `--dry-run`
-            // rejects typos before any cell runs.
-            qspr::PassManager::parse(spec)
-                .map_err(|msg| invalid(format!("bad experiment passes: {msg}")))?;
-        }
         let montecarlo = match (self.mode, &self.montecarlo) {
             (ExperimentMode::MonteCarlo, Some(mc)) => {
                 if mc.densities.is_empty() {
@@ -871,7 +820,6 @@ impl ScenarioSpec {
             * self.params.len() as u64
             * self.routers.len() as u64
             * self.movements.len() as u64
-            * self.schedulers.len() as u64
             * trials_per_cell;
 
         // Fabric axis: expand ranges with the side-bound filters applied
@@ -980,8 +928,6 @@ impl ScenarioSpec {
             params: self.params.clone(),
             routers: self.routers.clone(),
             movements: self.movements.clone(),
-            schedulers: self.schedulers.clone(),
-            passes: self.passes.clone(),
             mode: self.mode,
             select: self.select,
             cells,
@@ -995,8 +941,8 @@ impl ScenarioSpec {
 /// A validated, fully expanded grid (axes deduplicated and filtered).
 ///
 /// Cell order is fixed and documented: workloads × params × routers ×
-/// movements × schedulers × sides, fabric innermost — the order an
-/// equivalent serial loop of single-cell requests would use.
+/// movements × sides, fabric innermost — the order an equivalent serial
+/// loop of single-cell requests would use.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ExperimentPlan {
@@ -1010,11 +956,6 @@ pub struct ExperimentPlan {
     pub routers: Vec<RouterStrategy>,
     /// Movement variants.
     pub movements: Vec<MovementModel>,
-    /// Scheduler variants.
-    pub schedulers: Vec<SchedulerStrategy>,
-    /// Pass-pipeline spec run before every mapped cell (`None` = no
-    /// pipeline).
-    pub passes: Option<String>,
     /// The mode every cell runs.
     pub mode: ExperimentMode,
     /// The row selector.
@@ -1038,7 +979,8 @@ impl ExperimentPlan {
             ("params", Json::num(self.params.len() as u32)),
             ("routers", Json::num(self.routers.len() as u32)),
             ("movements", Json::num(self.movements.len() as u32)),
-            ("schedulers", Json::num(self.schedulers.len() as u32)),
+            // The mapper has one scheduler; the axis stays on the wire.
+            ("schedulers", Json::num(1)),
             ("sides", Json::num(self.sides.len() as u32)),
             ("mode", Json::str(self.mode.name())),
             ("select", Json::str(self.select.name())),
@@ -1300,8 +1242,6 @@ pub struct CellRow {
     pub router: RouterStrategy,
     /// Movement variant.
     pub movement: MovementModel,
-    /// Scheduler variant.
-    pub scheduler: SchedulerStrategy,
     /// Square fabric side.
     pub side: u32,
     /// Whether the program fits this cell's fabric.
@@ -1323,7 +1263,7 @@ impl CellRow {
             ("params", Json::str(&self.params)),
             ("router", Json::str(router_name(self.router))),
             ("movement", Json::str(movement_name(self.movement))),
-            ("scheduler", Json::str(scheduler_name(self.scheduler))),
+            ("scheduler", Json::str("greedy")),
             ("side", Json::num(self.side)),
             ("fit", Json::Bool(self.fit)),
         ];
@@ -1351,13 +1291,6 @@ impl CellRow {
             movement: movement_from_name(&str_field(value, "movement", what)?).ok_or_else(
                 || LeqaError::new(ErrorKind::Json, "experiment cell: unknown movement"),
             )?,
-            // Optional for rows written before the scheduler axis existed.
-            scheduler: match value.get("scheduler").and_then(Json::as_str) {
-                None => SchedulerStrategy::Greedy,
-                Some(name) => scheduler_from_name(name).ok_or_else(|| {
-                    LeqaError::new(ErrorKind::Json, "experiment cell: unknown scheduler")
-                })?,
-            },
             side: u64_field(value, "side", what)?
                 .try_into()
                 .map_err(|_| LeqaError::new(ErrorKind::Json, "cell side out of range"))?,
@@ -1855,7 +1788,6 @@ struct MapCell {
     param_index: usize,
     router: RouterStrategy,
     movement: MovementModel,
-    scheduler: SchedulerStrategy,
     side: u32,
 }
 
@@ -1867,7 +1799,6 @@ struct McCell {
     param_index: usize,
     router: RouterStrategy,
     movement: MovementModel,
-    scheduler: SchedulerStrategy,
     side: u32,
     density: f64,
     trial: u32,
@@ -1907,12 +1838,11 @@ impl<'s> ExperimentRunner<'s> {
     /// Runs the grid, invoking `sink` once per cell in plan order, and
     /// returns the summary record.
     ///
-    /// Distinct programs are loaded once through the session's sharded
-    /// profile cache (concurrently under the `parallel` feature); the
-    /// fabric axis of `estimate` cells rides one sweep-engine call per
-    /// (workload, params) group; `map`/`compare` cells fan out over the
-    /// worker pool. Rows are identical to an equivalent serial loop of
-    /// single-cell requests regardless of the feature set.
+    /// Distinct programs are loaded once, concurrently, through the
+    /// session's sharded profile cache; the fabric axis of `estimate`
+    /// cells rides one sweep-engine call per (workload, params) group;
+    /// `map`/`compare` cells fan out over the worker pool. Rows are
+    /// identical to an equivalent serial loop of single-cell requests.
     ///
     /// # Errors
     ///
@@ -1927,7 +1857,7 @@ impl<'s> ExperimentRunner<'s> {
 
         // Warm phase: load every distinct workload through the shared
         // cache (the fan-out is a no-op for already-resident programs).
-        let handles: Vec<ProgramHandle> = fan_out(&plan.workloads, |name| {
+        let handles: Vec<ProgramHandle> = parallel_map(&plan.workloads, |name| {
             self.session.load(&ProgramSpec::bench(name.clone()))
         })
         .into_iter()
@@ -1981,21 +1911,18 @@ impl<'s> ExperimentRunner<'s> {
                 .map_err(LeqaError::from)?;
                 for &router in &plan.routers {
                     for &movement in &plan.movements {
-                        for &scheduler in &plan.schedulers {
-                            for point in &points {
-                                let row = estimate_row(
-                                    cell,
-                                    &plan.workloads[wi],
-                                    &plan.params[pi].name,
-                                    router,
-                                    movement,
-                                    scheduler,
-                                    point,
-                                );
-                                acc.observe(wi, &row);
-                                sink(&row)?;
-                                cell += 1;
-                            }
+                        for point in &points {
+                            let row = estimate_row(
+                                cell,
+                                &plan.workloads[wi],
+                                &plan.params[pi].name,
+                                router,
+                                movement,
+                                point,
+                            );
+                            acc.observe(wi, &row);
+                            sink(&row)?;
+                            cell += 1;
                         }
                     }
                 }
@@ -2019,30 +1946,25 @@ impl<'s> ExperimentRunner<'s> {
             for pi in 0..variant_params.len() {
                 for &router in &plan.routers {
                     for &movement in &plan.movements {
-                        for &scheduler in &plan.schedulers {
-                            for &side in &plan.sides {
-                                cells.push(MapCell {
-                                    workload_index: wi,
-                                    param_index: pi,
-                                    router,
-                                    movement,
-                                    scheduler,
-                                    side,
-                                });
-                            }
+                        for &side in &plan.sides {
+                            cells.push(MapCell {
+                                workload_index: wi,
+                                param_index: pi,
+                                router,
+                                movement,
+                                side,
+                            });
                         }
                     }
                 }
             }
         }
 
-        let pipeline = self.pipeline()?;
-        let results: Vec<Result<CellMetrics, LeqaError>> = fan_out(&cells, |c| {
+        let results: Vec<Result<CellMetrics, LeqaError>> = parallel_map(&cells, |c| {
             self.run_map_cell(
                 c,
                 &handles[c.workload_index],
                 &variant_params[c.param_index],
-                pipeline.clone(),
             )
         });
 
@@ -2054,7 +1976,6 @@ impl<'s> ExperimentRunner<'s> {
                 params: plan.params[cell.param_index].name.clone(),
                 router: cell.router,
                 movement: cell.movement,
-                scheduler: cell.scheduler,
                 side: cell.side,
                 fit: metrics.fit(),
                 metrics,
@@ -2065,22 +1986,6 @@ impl<'s> ExperimentRunner<'s> {
         Ok(())
     }
 
-    /// Parses the plan's pass specification into a shared pipeline,
-    /// built once per run and cloned (cheaply, via `Arc`) into each
-    /// cell. `plan()` already validated the spec, so a failure here
-    /// would indicate a grammar drift between the two call sites.
-    fn pipeline(&self) -> Result<Option<Arc<PassManager>>, LeqaError> {
-        match self.plan.passes.as_deref() {
-            None => Ok(None),
-            Some(spec) => {
-                let pm = PassManager::parse(spec).map_err(|msg| {
-                    LeqaError::new(ErrorKind::Invalid, format!("bad passes: {msg}"))
-                })?;
-                Ok((!pm.is_empty()).then(|| Arc::new(pm)))
-            }
-        }
-    }
-
     /// One map/compare cell: the QSPR run (and, in compare mode, the
     /// estimate) on this cell's fabric/params/router/movement.
     fn run_map_cell(
@@ -2088,24 +1993,19 @@ impl<'s> ExperimentRunner<'s> {
         cell: &MapCell,
         handle: &ProgramHandle,
         params: &PhysicalParams,
-        pipeline: Option<Arc<PassManager>>,
     ) -> Result<CellMetrics, LeqaError> {
         let dims = match FabricDims::new(cell.side, cell.side) {
             Ok(dims) => dims,
             Err(e) => return Err(LeqaError::from(e)),
         };
-        let mut mapper = Mapper::with_config(MapperConfig {
+        let mapper = Mapper::with_config(MapperConfig {
             dims,
             params: params.clone(),
             placement: PlacementStrategy::default(),
             router: cell.router,
             movement: cell.movement,
             seed: 0,
-        })
-        .with_scheduler(cell.scheduler);
-        if let Some(pm) = pipeline {
-            mapper = mapper.with_passes(pm);
-        }
+        });
         // A program too large for the cell's fabric is an unfit row, not
         // an error: wide grids legitimately span undersized fabrics.
         let mapped = match mapper.map(handle.qodg()) {
@@ -2177,23 +2077,20 @@ impl<'s> ExperimentRunner<'s> {
             for pi in 0..variant_params.len() {
                 for &router in &plan.routers {
                     for &movement in &plan.movements {
-                        for &scheduler in &plan.schedulers {
-                            for &side in &plan.sides {
-                                for &density in &mc.densities {
-                                    for trial in 0..mc.trials {
-                                        let index = cells.len() as u64;
-                                        cells.push(McCell {
-                                            workload_index: wi,
-                                            param_index: pi,
-                                            router,
-                                            movement,
-                                            scheduler,
-                                            side,
-                                            density,
-                                            trial,
-                                            seed: SplitMix64::mix(mc.seed, index),
-                                        });
-                                    }
+                        for &side in &plan.sides {
+                            for &density in &mc.densities {
+                                for trial in 0..mc.trials {
+                                    let index = cells.len() as u64;
+                                    cells.push(McCell {
+                                        workload_index: wi,
+                                        param_index: pi,
+                                        router,
+                                        movement,
+                                        side,
+                                        density,
+                                        trial,
+                                        seed: SplitMix64::mix(mc.seed, index),
+                                    });
                                 }
                             }
                         }
@@ -2202,13 +2099,11 @@ impl<'s> ExperimentRunner<'s> {
             }
         }
 
-        let pipeline = self.pipeline()?;
-        let results: Vec<Result<CellMetrics, LeqaError>> = fan_out(&cells, |c| {
+        let results: Vec<Result<CellMetrics, LeqaError>> = parallel_map(&cells, |c| {
             self.run_mc_cell(
                 c,
                 &handles[c.workload_index],
                 &variant_params[c.param_index],
-                pipeline.clone(),
             )
         });
 
@@ -2243,7 +2138,6 @@ impl<'s> ExperimentRunner<'s> {
                 params: plan.params[cell.param_index].name.clone(),
                 router: cell.router,
                 movement: cell.movement,
-                scheduler: cell.scheduler,
                 side: cell.side,
                 fit: metrics.fit(),
                 metrics,
@@ -2265,14 +2159,13 @@ impl<'s> ExperimentRunner<'s> {
         cell: &McCell,
         handle: &ProgramHandle,
         params: &PhysicalParams,
-        pipeline: Option<Arc<PassManager>>,
     ) -> Result<CellMetrics, LeqaError> {
         let dims = FabricDims::new(cell.side, cell.side).map_err(LeqaError::from)?;
         let map = FabricMap::with_random_defects(dims, cell.density, cell.density, cell.seed)
             .map_err(LeqaError::from)?;
         let dead_cells = Some(map.dead_cells());
         let dead_channels = Some(map.dead_channels());
-        let mut mapper = Mapper::with_config(MapperConfig {
+        let mapper = Mapper::with_config(MapperConfig {
             dims,
             params: params.clone(),
             placement: PlacementStrategy::default(),
@@ -2280,11 +2173,7 @@ impl<'s> ExperimentRunner<'s> {
             movement: cell.movement,
             seed: 0,
         })
-        .with_scheduler(cell.scheduler)
         .with_fabric_map(Arc::new(map));
-        if let Some(pm) = pipeline {
-            mapper = mapper.with_passes(pm);
-        }
         Ok(match mapper.map(handle.qodg()) {
             Ok(r) => CellMetrics::MonteCarlo {
                 density: cell.density,
@@ -2379,7 +2268,6 @@ fn estimate_row(
     params: &str,
     router: RouterStrategy,
     movement: MovementModel,
-    scheduler: SchedulerStrategy,
     point: &SweepPoint,
 ) -> CellRow {
     let metrics = match &point.estimate {
@@ -2406,7 +2294,6 @@ fn estimate_row(
         params: params.to_string(),
         router,
         movement,
-        scheduler,
         side: point.dims.width(),
         fit: metrics.fit(),
         metrics,

@@ -21,7 +21,7 @@
 //!   the dependency-free [`json`] module.
 //! * [`Session::batch`] — N requests in, N result slots out, programs
 //!   deduplicated so each profile is built exactly once; fans out over
-//!   worker threads with the `parallel` feature.
+//!   the persistent worker pool.
 //! * [`LeqaError`] — the unified error taxonomy ([`ErrorKind`] + context
 //!   chain + stable exit codes) every layer's failures converge to.
 //! * [`experiment`] — the declarative design-space engine: a

@@ -163,13 +163,13 @@ pub fn map_text(resp: &MapResponse) -> String {
 #[must_use]
 pub fn experiment_plan_text(plan: &crate::ExperimentPlan) -> String {
     let mut line = format!(
-        "{} cells ({} workloads × {} params × {} routers × {} movements × {} schedulers × {} sides), mode {}",
+        // The mapper has one scheduler; its axis stays in the text.
+        "{} cells ({} workloads × {} params × {} routers × {} movements × 1 schedulers × {} sides), mode {}",
         plan.cells,
         plan.workloads.len(),
         plan.params.len(),
         plan.routers.len(),
         plan.movements.len(),
-        plan.schedulers.len(),
         plan.sides.len(),
         plan.mode.name(),
     );
@@ -200,7 +200,7 @@ pub fn experiment_header_text(plan: &crate::ExperimentPlan) -> String {
 /// Renders one experiment cell row, as `leqa experiment` prints it.
 #[must_use]
 pub fn experiment_cell_text(row: &crate::CellRow) -> String {
-    use crate::dto::{movement_name, router_name, scheduler_name};
+    use crate::dto::{movement_name, router_name};
     let latency = match row.metrics.primary_latency_us() {
         Some(us) => format!("{:>14.6}", us / 1_000_000.0),
         // An unroutable Monte Carlo trial *fit* the fabric; the defects
@@ -224,7 +224,7 @@ pub fn experiment_cell_text(row: &crate::CellRow) -> String {
         row.params,
         router_name(row.router),
         movement_name(row.movement),
-        scheduler_name(row.scheduler),
+        "greedy",
         row.side,
     )
 }

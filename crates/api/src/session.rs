@@ -33,10 +33,10 @@
 //!
 //! The [`batch`](Session::batch) endpoint resolves every request's
 //! program text first, dedups by content hash, warms the *distinct*
-//! programs concurrently (on the persistent worker pool when the
-//! `parallel` feature is on), then fans the per-request execution out —
-//! with hit/miss accounting and `profile_cached` flags bit-identical to
-//! the serial request-by-request order.
+//! programs concurrently on the persistent worker pool, then fans the
+//! per-request execution out — with hit/miss accounting and
+//! `profile_cached` flags bit-identical to the serial request-by-request
+//! order.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -44,13 +44,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
+use leqa::exec::parallel_map;
 use leqa::report::zone_report_from_iig;
 use leqa::sweep::sweep_profile_squares;
 use leqa::{Estimator, EstimatorOptions, ProfileData, ProgramProfile, StreamingProfileBuilder};
 use leqa_circuit::{decompose::lower_to_ft, parser, Circuit, Qodg};
 use leqa_fabric::{FabricDims, PhysicalParams};
 use leqa_workloads::shor::ShorStream;
-use qspr::{Mapper, MapperConfig, PassManager};
+use qspr::{Mapper, MapperConfig};
 
 use crate::dto::{
     CompareRequest, CompareResponse, EstimateRequest, EstimateResponse, FabricSpec, MapRequest,
@@ -229,20 +230,6 @@ impl Counters {
     fn record_miss(&self) {
         self.loads.fetch_add(1, Ordering::Release);
         self.misses.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Maps over the slice on the worker pool under `parallel`, serially
-/// otherwise (results identical by the pool's contract) — the one
-/// fan-out dispatcher shared by `batch` and the experiment engine.
-pub(crate) fn fan_out<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    #[cfg(feature = "parallel")]
-    {
-        leqa::exec::parallel_map(items, f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        items.iter().map(f).collect()
     }
 }
 
@@ -778,8 +765,8 @@ impl Session {
     /// Estimates one program across candidate square fabrics, through the
     /// amortised sweep engine (bit-identical to independent estimates).
     ///
-    /// With the `parallel` feature the per-candidate loop runs on the
-    /// persistent worker pool; results are identical either way.
+    /// The per-candidate loop runs on the persistent worker pool; results
+    /// are identical to a serial loop's.
     ///
     /// # Errors
     ///
@@ -849,16 +836,15 @@ impl Session {
     ///
     /// Every request's program text is resolved first and deduplicated
     /// by content hash; the *distinct* programs are then lowered
-    /// **concurrently** (on the persistent worker pool when the
-    /// `parallel` feature is enabled) before the per-request execution
-    /// fans out. Responses, `profile_cached` flags and [`CacheStats`]
-    /// deltas are identical to executing the requests one by one in
-    /// order.
+    /// **concurrently** on the persistent worker pool before the
+    /// per-request execution fans out. Responses, `profile_cached` flags
+    /// and [`CacheStats`] deltas are identical to executing the requests
+    /// one by one in order.
     #[must_use = "the batch response carries every per-request outcome"]
     pub fn batch(&self, requests: &[Request]) -> BatchResponse {
         // Phase 1 (concurrent, cache-untouched): resolve every request's
         // spec to canonical text + content key.
-        let resolved: Vec<Result<ResolvedSpec, LeqaError>> = fan_out(requests, |req| {
+        let resolved: Vec<Result<ResolvedSpec, LeqaError>> = parallel_map(requests, |req| {
             let spec = req.program();
             resolve_raw(spec, &RawSpec::read(spec)?)
         });
@@ -884,7 +870,7 @@ impl Session {
         // `was_cached` records whether the program was already resident
         // before this batch.
         type Warmed = Result<(Arc<ProgramData>, bool), LeqaError>;
-        let warmed: Vec<Warmed> = fan_out(&warm_order, |&i| {
+        let warmed: Vec<Warmed> = parallel_map(&warm_order, |&i| {
             let r = resolved[i].as_ref().expect("warm_order holds Ok slots");
             if let Some(shared) = self.cache.lookup(r.key, &r.source) {
                 return Ok((shared, true));
@@ -979,7 +965,7 @@ impl Session {
             .collect();
 
         // Phase 5 (concurrent): execute.
-        let results = fan_out(&prepared, |slot| match slot {
+        let results = parallel_map(&prepared, |slot| match slot {
             Err(e) => Err(e.clone()),
             Ok((i, handle, cached)) => self
                 .execute_prepared(&requests[*i], handle, *cached)
@@ -1235,22 +1221,14 @@ impl Session {
 
     fn run_map(&self, req: &MapRequest, handle: &ProgramHandle) -> Result<MapResponse, LeqaError> {
         let dims = self.resolve_fabric(req.fabric)?;
-        let mut mapper = Mapper::with_config(MapperConfig {
+        let mapper = Mapper::with_config(MapperConfig {
             dims,
             params: self.params.clone(),
             placement: req.placement,
             router: req.router,
             movement: req.movement,
             seed: 0,
-        })
-        .with_scheduler(req.scheduler);
-        if let Some(spec) = req.passes.as_deref() {
-            let pm = PassManager::parse(spec)
-                .map_err(|msg| LeqaError::new(ErrorKind::Invalid, format!("bad passes: {msg}")))?;
-            if !pm.is_empty() {
-                mapper = mapper.with_passes(Arc::new(pm));
-            }
-        }
+        });
         let (result, trace) = if req.trace_limit > 0 {
             let (r, t) = mapper.map_with_trace(handle.qodg())?;
             let rows = usize::try_from(req.trace_limit).unwrap_or(usize::MAX);

@@ -154,6 +154,69 @@ fn batch_and_experiment_frames_are_byte_identical_to_direct_calls() {
     handle.join().expect("no panic").expect("clean run");
 }
 
+#[test]
+fn removed_mapper_knobs_are_accepted_as_defaults_and_refused_otherwise() {
+    // The mapper has one scheduler (`greedy`) and no pass pipeline. A
+    // request may still name those defaults and gets the same bytes as
+    // one without them; anything else is an `invalid` error frame, and
+    // the server goes on answering.
+    let fresh = || Server::new(Session::builder().build().expect("default session"));
+    let server = fresh();
+    let base = Request::Map(MapRequest::new(ProgramSpec::bench("qft_8")).with_fabric(10, 10))
+        .to_json()
+        .encode();
+    let with = |extra: &str| format!("{},{extra}}}", base.strip_suffix('}').expect("object"));
+    let expected = server.process_line(&base).expect("reply");
+    assert!(
+        expected.starts_with("{\"schema_version\":1,\"op\":\"map\""),
+        "{expected}"
+    );
+
+    for extra in [
+        r#""scheduler":"greedy""#,
+        r#""passes":null"#,
+        r#""passes":"""#,
+        r#""scheduler":"greedy","passes":null"#,
+    ] {
+        assert_eq!(
+            server.process_line(&with(extra)).expect("reply"),
+            expected,
+            "{extra}"
+        );
+    }
+
+    let spec = r#"{"schema_version":1,"op":"experiment","workloads":["qft_8"],"fabrics":[10]"#;
+    let spec_with = |extra: &str| format!("{spec},{extra}}}");
+    // Fresh servers: the summary's cache counters depend on history.
+    let spec_expected = fresh().process_line(&format!("{spec}}}")).expect("reply");
+    assert!(
+        spec_expected.contains("\"scheduler\":\"greedy\""),
+        "{spec_expected}"
+    );
+    assert_eq!(
+        fresh()
+            .process_line(&spec_with(r#""schedulers":["greedy"],"passes":"""#))
+            .expect("reply"),
+        spec_expected
+    );
+
+    for (line, feature) in [
+        (with(r#""scheduler":"mobility""#), "mobility scheduler"),
+        (with(r#""passes":"dce""#), "pass pipeline"),
+        (
+            spec_with(r#""schedulers":["mobility"]"#),
+            "mobility scheduler",
+        ),
+    ] {
+        let reply = server.process_line(&line).expect("reply");
+        let frame = ErrorFrame::from_json(&json::parse(&reply).unwrap()).expect("error frame");
+        assert_eq!(frame.error.kind(), ErrorKind::Invalid, "{line}");
+        assert!(frame.error.to_string().contains(feature), "{reply}");
+        // The same server answers the next request.
+        assert_eq!(server.process_line(&base).expect("reply"), expected);
+    }
+}
+
 /// Saturates the single inflight slot **deterministically**: the hog's
 /// `estimate` names a FIFO path, so the server blocks inside the
 /// program load (holding the slot) until this test writes the circuit —

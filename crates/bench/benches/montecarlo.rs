@@ -7,7 +7,7 @@
 //! The claim: the engine amortises program loading, profile building
 //! and plan validation across the whole density × trial grid, so the
 //! batched study is never slower than the loop (target ≥ 1x; the
-//! `parallel` feature then fans the trials over worker threads on top).
+//! engine also fans the trials over the worker pool).
 //!
 //! `BENCH_JSON=$PWD/BENCH_yield.json cargo bench -p leqa-bench --bench
 //! montecarlo` appends one `montecarlo/speedup` JSON line. Set

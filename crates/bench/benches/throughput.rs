@@ -61,8 +61,7 @@ fn run_serial(session: &Session, requests: &[Request]) -> usize {
 }
 
 /// Concurrent execution of the same requests on the persistent worker
-/// pool — what `batch` does under the `parallel` feature, measured
-/// feature-independently so the trajectory is comparable everywhere.
+/// pool — what `batch` does.
 fn run_concurrent(session: &Session, requests: &[Request]) -> usize {
     leqa::pool::Pool::global()
         .map(requests, |req| {

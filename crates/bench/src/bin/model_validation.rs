@@ -3,8 +3,8 @@
 //! event-driven queue simulation for Eqs. 9–11, and exact Held–Karp
 //! Hamiltonian paths for Eq. 15.
 //!
-//! This is the evidence behind the "model internals" row of
-//! EXPERIMENTS.md.
+//! This is the evidence behind the "model internals" paragraph of
+//! PERF.md, "Table 2 and Table 3".
 
 use leqa_fabric::{FabricDims, Micros};
 use leqa_validate::{coverage, hamiltonian, queueing};

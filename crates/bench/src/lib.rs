@@ -32,14 +32,14 @@
 //! ≥3× batch-throughput target on multi-core runners, recorded to
 //! `BENCH_throughput.json`). See PERF.md for the full API tour.
 //!
-//! # The `parallel` feature
+//! # Parallel rows
 //!
-//! `--features parallel` runs [`run_suite`]'s independent rows on scoped
-//! worker threads (one per core) and enables the thread-parallel
-//! per-candidate loop inside `leqa`'s sweep engine. Latency/accuracy
-//! results are identical to the serial engines'. Timing-sensitive
-//! binaries (Table 3, the scaling study) deliberately stay serial so
-//! their wall-clock columns are uncontended — see [`run_suite`]'s docs.
+//! [`run_suite`] runs its independent rows on the persistent worker pool
+//! (one worker per core), as `leqa`'s sweep engine runs its candidates.
+//! Latency/accuracy results are identical to a serial loop's.
+//! Timing-sensitive binaries (Table 3, the scaling study) deliberately
+//! stay serial so their wall-clock columns are uncontended — see
+//! [`run_suite`]'s docs.
 //!
 //! # Recording baselines
 //!
@@ -128,12 +128,12 @@ pub fn run_benchmark(bench: &Benchmark, dims: FabricDims, params: &PhysicalParam
 /// Runs a set of suite benchmarks, returning one row per benchmark in
 /// input order.
 ///
-/// Rows are independent, so with the `parallel` feature they run on scoped
-/// worker threads (via [`leqa::exec::parallel_map`], capped by the
-/// platform's available parallelism); latency/accuracy columns are
-/// identical either way. **The wall-clock columns (`qspr_runtime_s`,
-/// `leqa_runtime_s`, `speedup`) are contended under the parallel runner**
-/// — concurrent rows compete for cores and caches — so timing-sensitive
+/// Rows are independent, so they run on the worker pool (via
+/// [`leqa::exec::parallel_map`], capped by the platform's available
+/// parallelism); latency/accuracy columns are identical to a serial
+/// loop's. **The wall-clock columns (`qspr_runtime_s`,
+/// `leqa_runtime_s`, `speedup`) are contended** — concurrent rows
+/// compete for cores and caches — so timing-sensitive
 /// consumers (the Table 3 binary, the scaling study) must call
 /// [`run_benchmark`] serially instead; accuracy-only consumers (Table 2)
 /// can parallelize freely.
@@ -142,17 +142,7 @@ pub fn run_benchmark(bench: &Benchmark, dims: FabricDims, params: &PhysicalParam
 ///
 /// Same as [`run_benchmark`].
 pub fn run_suite(benches: &[&Benchmark], dims: FabricDims, params: &PhysicalParams) -> Vec<RunRow> {
-    #[cfg(feature = "parallel")]
-    {
-        leqa::exec::parallel_map(benches, |b| run_benchmark(b, dims, params))
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        benches
-            .iter()
-            .map(|b| run_benchmark(b, dims, params))
-            .collect()
-    }
+    leqa::exec::parallel_map(benches, |b| run_benchmark(b, dims, params))
 }
 
 impl RunRow {

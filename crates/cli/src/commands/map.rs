@@ -11,16 +11,13 @@ use crate::{CliError, Options};
 /// statistics and (with `--trace N`) the N longest-running operations.
 pub fn run(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let session = session(opts)?;
-    let mut request = MapRequest::new(program_spec(opts))
-        .with_placement(opts.placement)
-        .with_router(opts.router)
-        .with_movement(opts.movement)
-        .with_scheduler(opts.scheduler)
-        .with_trace_limit(opts.trace as u64);
-    if let Some(spec) = opts.passes.as_deref() {
-        request = request.with_passes(spec);
-    }
-    let response = session.map(&request)?;
+    let response = session.map(
+        &MapRequest::new(program_spec(opts))
+            .with_placement(opts.placement)
+            .with_router(opts.router)
+            .with_movement(opts.movement)
+            .with_trace_limit(opts.trace as u64),
+    )?;
     emit(
         out,
         opts.format,

@@ -40,7 +40,7 @@ leqa — latency estimation for quantum algorithms (DAC'13 reproduction)
 
 USAGE:
   leqa estimate <circuit.qc> [--fabric AxB] [--terms N] [--rounding ceil|floor|round] [--streaming-threshold N]
-  leqa map      <circuit.qc> [--fabric AxB] [--placement cluster|rowmajor|random] [--router xy|yx|adaptive] [--scheduler greedy|mobility] [--passes SPEC] [--trace N]
+  leqa map      <circuit.qc> [--fabric AxB] [--placement cluster|rowmajor|random] [--router xy|yx|adaptive] [--trace N]
   leqa compare  (<circuit.qc> | --bench NAME) [--fabric AxB]
   leqa suite    [--filter SUBSTR] [--fabric AxB]
   leqa sweep    <circuit.qc> --sizes 20,40,60 [--fabric ignored]
@@ -67,13 +67,6 @@ With `\"mode\": \"montecarlo\"` the spec sweeps a defect-density grid
 over seeded random fabrics and reports per-density routability with
 confidence intervals plus the critical (percolation) density — see
 examples/experiment_montecarlo.json.
-
-`map --scheduler mobility` swaps the greedy ready-queue engine for the
-slack-ordered mobility scheduler; `--passes SPEC` runs a pre-placement
-pass pipeline over the lowered gate graph (`dce` dead-gate elimination,
-`partition:K` region-based placement — comma-separated, grammar in
-API.md). The experiment spec accepts the same knobs as a `schedulers`
-axis and a top-level `passes` string.
 
 `fabric` renders a fabric's defect map: an ASCII floor plan (`.` live
 cell, `X` dead cell, `-`/`|` live channels with gaps for dead ones)

@@ -64,6 +64,18 @@ fn missing_file_reports_io_error() {
 }
 
 #[test]
+fn removed_mapper_flags_are_unknown() {
+    // The mapper has one scheduler and no pass pipeline: the flags that
+    // selected them are gone and fail as any unknown flag (usage, 2).
+    for flag in ["--scheduler", "--passes"] {
+        let out = leqa(&["map", "--bench", "qft_8", flag, "greedy"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
+}
+
+#[test]
 fn exit_codes_follow_the_error_taxonomy() {
     // Stable per-kind codes (API.md): usage 2, io 3, estimate 6, map 7.
     assert_eq!(leqa(&["bogus"]).status.code(), Some(2));

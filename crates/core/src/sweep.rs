@@ -30,9 +30,9 @@
 //! [`Estimator::estimate`] call on the same candidate (asserted per
 //! workload by `tests/differential.rs`).
 //!
-//! With the `parallel` feature the per-candidate loop runs on scoped
-//! worker threads (one per core); candidate results are identical either
-//! way.
+//! The per-candidate loop runs on the persistent worker pool
+//! ([`crate::exec::parallel_map`]); candidate results do not depend on
+//! how the candidates are spread over threads.
 
 use leqa_circuit::{CriticalPath, CriticalPathScratch, Qodg, QodgNode};
 use leqa_fabric::{FabricDims, Micros, PhysicalParams};
@@ -78,14 +78,7 @@ pub fn sweep_profile(
     options: EstimatorOptions,
     candidates: impl IntoIterator<Item = FabricDims>,
 ) -> Vec<SweepPoint> {
-    let candidates: Vec<FabricDims> = candidates.into_iter().collect();
-    run_sweep(
-        profile,
-        params,
-        options,
-        candidates,
-        cfg!(feature = "parallel"),
-    )
+    run_sweep(profile, params, options, candidates.into_iter().collect())
 }
 
 /// Square-fabric convenience over [`sweep_profile`]: one point per side,
@@ -109,29 +102,6 @@ pub fn sweep_profile_squares(
         .map(|side| FabricDims::new(side, side))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(sweep_profile(profile, params, options, candidates))
-}
-
-/// Like [`sweep_fabrics`], forcing the per-candidate loop onto scoped
-/// worker threads (capped by the platform's available parallelism) even
-/// when the `parallel` feature is off.
-///
-/// Estimation is CPU-bound and candidates are independent, so wide sweeps
-/// — the paper's fabric-size exploration loop — scale with cores. Results
-/// are identical to the serial engine's.
-pub fn sweep_fabrics_parallel(
-    qodg: &Qodg,
-    params: &PhysicalParams,
-    options: EstimatorOptions,
-    candidates: impl IntoIterator<Item = FabricDims>,
-) -> Vec<SweepPoint> {
-    let candidates: Vec<FabricDims> = candidates.into_iter().collect();
-    run_sweep(
-        &ProgramProfile::new(qodg),
-        params,
-        options,
-        candidates,
-        true,
-    )
 }
 
 /// Finds the latency-minimal square fabric among `sides`.
@@ -182,18 +152,13 @@ fn run_sweep(
     params: &PhysicalParams,
     options: EstimatorOptions,
     candidates: Vec<FabricDims>,
-    threaded: bool,
 ) -> Vec<SweepPoint> {
     // Phase 1: per-candidate congestion pricing (Algorithm 1 lines 1–18,
-    // with lines 1–8 prepaid by the profile).
-    let quantities = if threaded {
-        quantities_threaded(profile, params, options, &candidates)
-    } else {
-        candidates
-            .iter()
-            .map(|&dims| candidate_quantities(profile, params, options, dims))
-            .collect()
-    };
+    // with lines 1–8 prepaid by the profile). Candidates are independent
+    // and CPU-bound, so wide sweeps scale with cores.
+    let quantities = crate::exec::parallel_map(&candidates, |&dims| {
+        candidate_quantities(profile, params, options, dims)
+    });
 
     // Phase 2: resolve the routing-aware critical path for every distinct
     // L_CNOT^avg by convex bisection. The critical-path and assembly
@@ -233,18 +198,6 @@ fn candidate_quantities(
     Estimator::with_options(dims, params.clone(), options)
         .routing_quantities(profile)
         .ok()
-}
-
-/// Phase 1 across scoped worker threads.
-fn quantities_threaded(
-    profile: &ProgramProfile<'_>,
-    params: &PhysicalParams,
-    options: EstimatorOptions,
-    candidates: &[FabricDims],
-) -> Vec<Option<RoutingQuantities>> {
-    crate::exec::parallel_map(candidates, |&dims| {
-        candidate_quantities(profile, params, options, dims)
-    })
 }
 
 /// Resolved critical paths per distinct `L_CNOT^avg` value: a handful of
@@ -600,6 +553,8 @@ mod parallel_tests {
     use super::*;
     use leqa_circuit::{FtCircuit, QubitId};
 
+    /// The pooled sweep against its real reference: an independent
+    /// [`Estimator::estimate`] at every candidate size.
     #[test]
     fn parallel_sweep_matches_serial() {
         let mut ft = FtCircuit::new(12);
@@ -614,15 +569,20 @@ mod parallel_tests {
             .map(|&s| FabricDims::new(s, s).unwrap())
             .collect();
 
-        let serial = sweep_fabrics(&qodg, &params, opts, candidates.clone());
-        let parallel = sweep_fabrics_parallel(&qodg, &params, opts, candidates);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.dims, p.dims);
-            match (&s.estimate, &p.estimate) {
-                (Some(a), Some(b)) => assert_eq!(a.latency, b.latency),
+        let points = sweep_fabrics(&qodg, &params, opts, candidates.clone());
+        assert_eq!(points.len(), candidates.len());
+        for (point, dims) in points.iter().zip(candidates) {
+            assert_eq!(point.dims, dims);
+            let direct = Estimator::with_options(dims, params.clone(), opts)
+                .estimate(&qodg)
+                .ok();
+            match (&point.estimate, &direct) {
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.latency, b.latency);
+                    assert_eq!(a.critical, b.critical);
+                }
                 (None, None) => {}
-                other => panic!("mismatch: {other:?}"),
+                other => panic!("mismatch at {dims:?}: {other:?}"),
             }
         }
     }

@@ -34,16 +34,6 @@ pub enum MapError {
         /// Fabric width × height the map describes.
         map_dims: (u32, u32),
     },
-    /// A pass in the [pipeline](crate::passes) broke a structural
-    /// invariant (graph validity, analysis-preservation claims, placement
-    /// legality) — caught by the [`PassManager`](crate::passes::PassManager)
-    /// invariant checker. Names the offending pass.
-    InvariantViolation {
-        /// Name of the pass that broke the invariant.
-        pass: String,
-        /// What went wrong.
-        reason: String,
-    },
 }
 
 impl fmt::Display for MapError {
@@ -62,9 +52,6 @@ impl fmt::Display for MapError {
                 "fabric map describes a {}x{} fabric but the mapper is {}x{}",
                 map_dims.0, map_dims.1, dims.0, dims.1
             ),
-            MapError::InvariantViolation { pass, reason } => {
-                write!(f, "pass `{pass}` broke a pipeline invariant: {reason}")
-            }
         }
     }
 }
@@ -100,14 +87,6 @@ mod tests {
             }
             .to_string(),
             "fabric map describes a 4x4 fabric but the mapper is 5x5"
-        );
-        assert_eq!(
-            MapError::InvariantViolation {
-                pass: "dce".into(),
-                reason: "graph lost its end node".into()
-            }
-            .to_string(),
-            "pass `dce` broke a pipeline invariant: graph lost its end node"
         );
     }
 

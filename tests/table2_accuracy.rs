@@ -4,7 +4,7 @@
 //!
 //! The paper reports 2.11% average / <9% maximum against its Java QSPR;
 //! against this workspace's mapper the measured figures are ~2.7% / ~6.2%
-//! (see EXPERIMENTS.md). The assertions use looser bounds so the test
+//! (see PERF.md, "Table 2 and Table 3"). The assertions use looser bounds so the test
 //! stays robust to platform noise while still catching model regressions.
 
 use leqa::Estimator;
