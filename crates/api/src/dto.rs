@@ -1361,31 +1361,6 @@ pub enum ControlFrame {
     /// `{"cmd":"shutdown"}` — acknowledge with a [`ShutdownAck`], stop
     /// accepting work, drain in-flight requests, and exit.
     Shutdown,
-    /// `{"cmd":"upgrade","proto":"frame1"}` — acknowledge with an
-    /// [`UpgradeAck`] line, then switch this connection to the named
-    /// binary framing (see [`crate::frame`]). TCP connections only.
-    Upgrade(FrameProto),
-}
-
-/// Wire protocols a connection can upgrade to (see
-/// [`ControlFrame::Upgrade`]). Today there is exactly one; the enum
-/// keeps the negotiation forward-compatible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FrameProto {
-    /// `[u32 len][u32 tag][JSON payload]` little-endian framing
-    /// ([`crate::frame`]).
-    Frame1,
-}
-
-impl FrameProto {
-    /// The wire name of the protocol.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FrameProto::Frame1 => crate::frame::FRAME1,
-        }
-    }
 }
 
 impl ControlFrame {
@@ -1395,18 +1370,13 @@ impl ControlFrame {
         match self {
             ControlFrame::Stats => "stats",
             ControlFrame::Shutdown => "shutdown",
-            ControlFrame::Upgrade(_) => "upgrade",
         }
     }
 
     /// Serializes the control line.
     #[must_use]
     pub fn to_json(self) -> Json {
-        let mut entries = vec![("cmd", Json::str(self.name()))];
-        if let ControlFrame::Upgrade(proto) = self {
-            entries.push(("proto", Json::str(proto.name())));
-        }
-        Json::obj(entries)
+        Json::obj(vec![("cmd", Json::str(self.name()))])
     }
 
     /// Decodes a control line (any object with a `cmd` key).
@@ -1414,21 +1384,21 @@ impl ControlFrame {
     /// # Errors
     ///
     /// [`ErrorKind::Json`] when `cmd` is missing or names no known
-    /// command, or when an `upgrade` names no known protocol.
+    /// command; [`ErrorKind::Invalid`] for `upgrade`, whose protocol was
+    /// removed.
     pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
         match str_field(value, "cmd", "control frame")?.as_str() {
             "stats" => Ok(ControlFrame::Stats),
             "shutdown" => Ok(ControlFrame::Shutdown),
-            "upgrade" => match str_field(value, "proto", "upgrade frame")?.as_str() {
-                crate::frame::FRAME1 => Ok(ControlFrame::Upgrade(FrameProto::Frame1)),
-                other => Err(LeqaError::new(
-                    ErrorKind::Json,
-                    format!("unknown upgrade protocol `{other}` (frame1)"),
-                )),
-            },
+            // The binary protocol `upgrade` asked for no longer exists;
+            // the connection keeps speaking NDJSON.
+            "upgrade" => Err(LeqaError::new(
+                ErrorKind::Invalid,
+                "`upgrade` is refused: the frame1 binary protocol was removed; keep sending NDJSON lines",
+            )),
             other => Err(LeqaError::new(
                 ErrorKind::Json,
-                format!("unknown control command `{other}` (stats|shutdown|upgrade)"),
+                format!("unknown control command `{other}` (stats|shutdown)"),
             )),
         }
     }
@@ -1468,15 +1438,11 @@ pub struct StatsResponse {
     /// refused at the inflight cap or while draining, plus whole
     /// connections refused at the connection cap.
     pub overloaded: u64,
-    /// Transport bytes read from clients (NDJSON lines and binary
-    /// frames alike). Additive in schema v1: absent on pre-frame
-    /// daemons, decoded as 0.
+    /// Transport bytes read from clients. Additive in schema v1: absent
+    /// on older daemons, decoded as 0.
     pub bytes_in: u64,
     /// Transport bytes written to clients (additive, see `bytes_in`).
     pub bytes_out: u64,
-    /// Binary frames decoded but not yet answered (gauge; 0 on NDJSON
-    /// connections, where the line loop never holds more than one).
-    pub frames_in_flight: u64,
     /// Profiles served from the on-disk snapshot store instead of being
     /// rebuilt (`--cache-dir`; additive in schema v1 — absent on older
     /// daemons, decoded as 0).
@@ -1524,7 +1490,9 @@ impl StatsResponse {
             ("overloaded", Json::Num(self.overloaded as f64)),
             ("bytes_in", Json::Num(self.bytes_in as f64)),
             ("bytes_out", Json::Num(self.bytes_out as f64)),
-            ("frames_in_flight", Json::Num(self.frames_in_flight as f64)),
+            // Always 0: kept in its schema-v1 position after the binary
+            // frame protocol it counted was removed.
+            ("frames_in_flight", Json::Num(0.0)),
             ("store_hits", Json::Num(self.store_hits as f64)),
             ("store_misses", Json::Num(self.store_misses as f64)),
             (
@@ -1570,10 +1538,9 @@ impl StatsResponse {
             experiment: u64_field(requests, "experiment", what)?,
             errors: u64_field(value, "errors", what)?,
             overloaded: u64_field(value, "overloaded", what)?,
-            // Additive in schema v1: pre-frame daemons omit these.
+            // Additive in schema v1: older daemons omit these.
             bytes_in: opt_u64(value, "bytes_in", what)?.unwrap_or(0),
             bytes_out: opt_u64(value, "bytes_out", what)?.unwrap_or(0),
-            frames_in_flight: opt_u64(value, "frames_in_flight", what)?.unwrap_or(0),
             store_hits: opt_u64(value, "store_hits", what)?.unwrap_or(0),
             store_misses: opt_u64(value, "store_misses", what)?.unwrap_or(0),
             replicas_restarted: opt_u64(value, "replicas_restarted", what)?.unwrap_or(0),
@@ -1606,7 +1573,6 @@ impl StatsResponse {
         self.overloaded += other.overloaded;
         self.bytes_in += other.bytes_in;
         self.bytes_out += other.bytes_out;
-        self.frames_in_flight += other.frames_in_flight;
         self.store_hits += other.store_hits;
         self.store_misses += other.store_misses;
         self.replicas_restarted += other.replicas_restarted;
@@ -1615,52 +1581,6 @@ impl StatsResponse {
         self.cache.cache_misses += other.cache.cache_misses;
         self.cache.loads += other.cache.loads;
         self.uptime_ticks += other.uptime_ticks;
-    }
-}
-
-/// Reply to `{"cmd":"upgrade","proto":…}`: the last NDJSON line on this
-/// connection — every byte after it speaks the acknowledged framing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct UpgradeAck {
-    /// The protocol now in effect.
-    pub proto: FrameProto,
-}
-
-impl UpgradeAck {
-    /// Serializes the acknowledgement envelope.
-    #[must_use]
-    pub fn to_json(self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::num(SCHEMA_VERSION as u32)),
-            ("op", Json::str("upgrade")),
-            ("proto", Json::str(self.proto.name())),
-        ])
-    }
-
-    /// Decodes an acknowledgement envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Json`] on schema-version mismatch, a wrong `op`, or
-    /// an unknown protocol name.
-    pub fn from_json(value: &Json) -> Result<Self, LeqaError> {
-        check_schema_version(value)?;
-        match field(value, "op", "upgrade ack")?.as_str() {
-            Some("upgrade") => match str_field(value, "proto", "upgrade ack")?.as_str() {
-                crate::frame::FRAME1 => Ok(UpgradeAck {
-                    proto: FrameProto::Frame1,
-                }),
-                other => Err(LeqaError::new(
-                    ErrorKind::Json,
-                    format!("unknown upgrade protocol `{other}` in ack"),
-                )),
-            },
-            _ => Err(LeqaError::new(
-                ErrorKind::Json,
-                "upgrade ack must carry op `upgrade`",
-            )),
-        }
     }
 }
 
@@ -1858,29 +1778,16 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_control_frame_and_ack_round_trip() {
-        let frame = ControlFrame::Upgrade(FrameProto::Frame1);
-        let text = frame.to_json().encode();
-        assert_eq!(text, "{\"cmd\":\"upgrade\",\"proto\":\"frame1\"}");
-        assert_eq!(
-            ControlFrame::from_json(&parse(&text).unwrap()).unwrap(),
-            frame
-        );
-        let err = ControlFrame::from_json(&parse(r#"{"cmd":"upgrade","proto":"frame9"}"#).unwrap())
-            .unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Json);
-        // A bare upgrade without a protocol is malformed.
-        assert!(ControlFrame::from_json(&parse(r#"{"cmd":"upgrade"}"#).unwrap()).is_err());
-
-        let ack = UpgradeAck {
-            proto: FrameProto::Frame1,
-        };
-        let text = ack.to_json().encode();
-        assert_eq!(
-            text,
-            "{\"schema_version\":1,\"op\":\"upgrade\",\"proto\":\"frame1\"}"
-        );
-        assert_eq!(UpgradeAck::from_json(&parse(&text).unwrap()).unwrap(), ack);
+    fn upgrade_control_frame_is_refused_naming_the_removed_protocol() {
+        for line in [
+            r#"{"cmd":"upgrade","proto":"frame1"}"#,
+            r#"{"cmd":"upgrade","proto":"frame9"}"#,
+            r#"{"cmd":"upgrade"}"#,
+        ] {
+            let err = ControlFrame::from_json(&parse(line).unwrap()).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Invalid, "{line}");
+            assert!(err.to_string().contains("frame1"), "{err}");
+        }
     }
 
     #[test]
@@ -1900,7 +1807,6 @@ mod tests {
             overloaded: 8,
             bytes_in: 4096,
             bytes_out: 8192,
-            frames_in_flight: 3,
             store_hits: 4,
             store_misses: 1,
             replicas_restarted: 2,
@@ -1920,9 +1826,9 @@ mod tests {
             !text.contains("timestamp") && !text.contains("wall"),
             "no wall-clock on the wire: {text}"
         );
-        assert!(text.contains("\"bytes_in\":4096,\"bytes_out\":8192,\"frames_in_flight\":3,"));
+        assert!(text.contains("\"bytes_in\":4096,\"bytes_out\":8192,\"frames_in_flight\":0,"));
         assert!(text.contains(
-            "\"frames_in_flight\":3,\"store_hits\":4,\"store_misses\":1,\
+            "\"frames_in_flight\":0,\"store_hits\":4,\"store_misses\":1,\
              \"replicas_restarted\":2,\"cache\":{"
         ));
         let back = StatsResponse::from_json(&parse(&text).unwrap()).unwrap();
@@ -1941,7 +1847,6 @@ mod tests {
                    \"uptime_ticks\":3}";
         let a = StatsResponse::from_json(&parse(old).unwrap()).unwrap();
         assert_eq!(a.bytes_in, 0);
-        assert_eq!(a.frames_in_flight, 0);
 
         let mut total = a;
         let mut b = a;

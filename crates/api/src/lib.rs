@@ -75,7 +75,6 @@ mod error;
 pub mod experiment;
 pub mod fabricmap;
 pub mod faults;
-pub mod frame;
 pub mod json;
 pub mod render;
 pub mod server;
@@ -92,14 +91,12 @@ pub use fabricmap::{FabricMapSpec, OverlaySpec, RandomDefects};
 
 pub use dto::{
     BatchRequest, BatchResponse, CompareRequest, CompareResponse, ControlFrame, ErrorFrame,
-    EstimateRequest, EstimateResponse, FabricSpec, FrameProto, MapRequest, MapResponse,
-    ProgramSpec, ProgramSummary, Request, Response, ShutdownAck, StatsResponse, SweepPointDto,
-    SweepRequest, SweepResponse, UpgradeAck, ZoneRowDto, ZonesRequest, ZonesResponse,
-    SCHEMA_VERSION,
+    EstimateRequest, EstimateResponse, FabricSpec, MapRequest, MapResponse, ProgramSpec,
+    ProgramSummary, Request, Response, ShutdownAck, StatsResponse, SweepPointDto, SweepRequest,
+    SweepResponse, ZoneRowDto, ZonesRequest, ZonesResponse, SCHEMA_VERSION,
 };
 pub use error::{ErrorKind, LeqaError};
 pub use faults::{FaultAction, FaultDecision, FaultInjector, FaultPlan};
-pub use frame::{write_frame, FrameDecoder, FrameError, FRAME1, MAX_FRAME_PAYLOAD};
 pub use server::{BoundServer, Frame, Server, ServerConfig};
 pub use session::{
     CacheStats, ProgramHandle, Session, SessionBuilder, StoreStats, DEFAULT_STREAMING_THRESHOLD,

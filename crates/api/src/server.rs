@@ -2,15 +2,13 @@
 //! **stdio** or **TCP**, one process-wide [`Session`] shared by every
 //! connection.
 //!
-//! After PRs 2–4 the session, its sharded profile cache and the
-//! persistent worker pool all exist — but only for the lifetime of one
-//! CLI invocation, so every request pays full process startup. This
-//! module keeps the hot path resident: a [`Server`] wraps one `Session`
-//! (already `Send + Sync`), accepts any number of client connections,
-//! and answers each request line with the **byte-identical** envelope a
-//! direct `Session` call would produce. CPU-bound endpoints keep fanning
-//! out over [`Pool::global`](leqa::pool::Pool::global) exactly as they
-//! do in-process.
+//! A [`Server`] wraps one `Session` (already `Send + Sync`) so the
+//! profile cache and the worker pool stay resident across requests. It
+//! accepts any number of client connections and answers each request
+//! line with the **byte-identical** envelope a direct `Session` call
+//! would produce. CPU-bound endpoints keep fanning out over
+//! [`Pool::global`](leqa::pool::Pool::global) exactly as they do
+//! in-process.
 //!
 //! # Wire protocol (reference: `SERVER.md`)
 //!
@@ -26,14 +24,9 @@
 //! * **Control frames** — `{"cmd":"stats"}` ([`StatsResponse`]) and
 //!   `{"cmd":"shutdown"}` ([`ShutdownAck`]). Control frames bypass
 //!   admission control so operators can always reach a saturated
-//!   daemon.
-//! * **Binary frame mode** — a TCP connection that sends
-//!   `{"cmd":"upgrade","proto":"frame1"}` switches (after the ack line)
-//!   to length-prefixed `[u32 len][u32 tag][payload]` frames
-//!   ([`crate::frame`]): payloads are the same byte-stable JSON
-//!   documents, but requests pipeline and responses complete **out of
-//!   order**, matched by tag. NDJSON stays the default and the
-//!   golden-test anchor.
+//!   daemon. `{"cmd":"upgrade",…}` asked for a binary protocol that no
+//!   longer exists; it gets an `invalid` error frame and the connection
+//!   keeps serving NDJSON.
 //!
 //! # Admission control and shutdown
 //!
@@ -61,20 +54,16 @@
 //! # }
 //! ```
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::dto::{
-    BatchRequest, ControlFrame, ErrorFrame, FrameProto, Request, ShutdownAck, StatsResponse,
-    UpgradeAck,
-};
+use crate::dto::{BatchRequest, ControlFrame, ErrorFrame, Request, ShutdownAck, StatsResponse};
 use crate::experiment::ScenarioSpec;
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, ReadFaultAction};
-use crate::frame::{write_frame, FrameDecoder, FRAME_HEADER};
 use crate::json::{self, Json};
 use crate::{ErrorKind, LeqaError, Session};
 
@@ -183,7 +172,6 @@ struct Stats {
     overloaded: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
-    frames_in_flight: AtomicU64,
     ticks: AtomicU64,
 }
 
@@ -272,42 +260,178 @@ fn classify_line(line: &str) -> Result<(Frame, Option<u64>), LeqaError> {
 }
 
 /// Decrements the inflight gauge when a work frame finishes (also on
-/// panic, so a poisoned request cannot leak permits). Owns a `Server`
-/// handle instead of a borrow so pipelined frame jobs can carry their
-/// permit into the `'static` worker-pool closure.
-struct InflightPermit {
-    server: Server,
+/// panic, so a poisoned request cannot leak permits).
+struct InflightPermit<'a> {
+    inflight: &'a AtomicU64,
 }
 
-impl Drop for InflightPermit {
+impl Drop for InflightPermit<'_> {
     fn drop(&mut self) {
-        self.server
-            .inner
-            .stats
-            .inflight
-            .fetch_sub(1, Ordering::AcqRel);
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// What a chaotic reply write decided about the connection's future.
-enum ChaosOutcome {
-    /// The connection keeps serving.
-    Continue,
-    /// The injector consumed the reply (drop / torn write / replica
-    /// kill): close the connection now.
-    CloseConnection,
+/// What a [`LineService`] does with one received line.
+pub(crate) enum Answer {
+    /// Nothing: a blank line.
+    Skip,
+    /// Write this reply and keep serving.
+    Reply(String),
+    /// Write this reply, if any, as it is, then close the connection.
+    Close(Option<String>),
 }
 
-/// What a chaotic *request read* decided about the inbound line.
-enum ReadChaosOutcome {
-    /// Hand the (possibly garbled-but-decodable) line to the engine.
-    Proceed,
-    /// The request was lost mid-read: close without replying, exactly as
-    /// a peer crash would look.
-    CloseSilently,
-    /// The damage is detectable at the framing layer: write this reply,
-    /// then close (the byte stream can no longer be framed).
-    ReplyAndClose(String),
+/// One side of the NDJSON connection loop ([`serve_lines`]): the
+/// daemon's line engine, or the shard front-end forwarding to its
+/// replicas.
+pub(crate) trait LineService {
+    /// Whether the service is draining. The loop closes the connection
+    /// after the current reply, or at the next read timeout when idle.
+    fn stopping(&self) -> bool;
+    /// Answers one received line (terminator included; may be blank).
+    fn answer(&mut self, line: &mut String) -> Answer;
+    /// Writes one reply line; `Ok(false)` closes the connection.
+    fn write_reply(&mut self, writer: &mut dyn Write, reply: &str) -> std::io::Result<bool>;
+    /// Encodes an error frame for a failure the loop itself sees: a line
+    /// that is not UTF-8, or a panic inside [`answer`](Self::answer).
+    fn error_reply(&self, e: LeqaError) -> String;
+}
+
+/// The one NDJSON connection loop, shared by stdio, TCP and shard
+/// clients: read a line, answer it, write the reply, until EOF or
+/// shutdown. Sockets carry a read timeout, so an idle connection
+/// re-checks [`LineService::stopping`] once per read-poll period. A
+/// panic while answering becomes an `internal` error frame and the
+/// connection keeps serving. A byte stream that is not UTF-8 gets one
+/// `json` error frame, then the connection closes (framing rule 4 of
+/// `SERVER.md`).
+pub(crate) fn serve_lines(
+    service: &mut dyn LineService,
+    reader: &mut dyn BufRead,
+    writer: &mut dyn Write,
+) -> std::io::Result<()> {
+    let mut line = String::new();
+    loop {
+        match reader.read_line(&mut line) {
+            Ok(0) => return Ok(()), // EOF: the client hung up.
+            Ok(_) => {
+                let answer = catch_unwind(AssertUnwindSafe(|| service.answer(&mut line)))
+                    .unwrap_or_else(|_| {
+                        Answer::Reply(
+                            service.error_reply(LeqaError::internal(
+                                "request panicked during execution",
+                            )),
+                        )
+                    });
+                line.clear();
+                let open = match answer {
+                    Answer::Skip => true,
+                    Answer::Reply(reply) => service.write_reply(writer, &reply)?,
+                    Answer::Close(reply) => {
+                        if let Some(reply) = reply {
+                            write_line(writer, &reply)?;
+                        }
+                        false
+                    }
+                };
+                if !open || service.stopping() {
+                    return Ok(());
+                }
+            }
+            // Timeout mid-wait: any partial bytes stay in `line`; the
+            // next read appends the rest of the line.
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                if service.stopping() {
+                    return Ok(());
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                let reply = service.error_reply(not_utf8());
+                return write_line(writer, &reply);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+fn not_utf8() -> LeqaError {
+    LeqaError::new(ErrorKind::Json, "frame is not valid UTF-8")
+}
+
+/// Writes one line (with newline + flush).
+pub(crate) fn write_line(writer: &mut dyn Write, line: &str) -> std::io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
+/// The daemon as one connection sees it: the line engine, plus the
+/// fault injector on TCP connections of a chaotic server.
+struct Connection<'a> {
+    server: &'a Server,
+    faults: Option<&'a FaultInjector>,
+}
+
+impl LineService for Connection<'_> {
+    fn stopping(&self) -> bool {
+        self.server.is_shutting_down()
+    }
+
+    /// Read-side chaos strikes the raw inbound bytes before the engine
+    /// interprets them; without an injector this is
+    /// [`Server::process_line`].
+    fn answer(&mut self, line: &mut String) -> Answer {
+        let stats = &self.server.inner.stats;
+        stats
+            .bytes_in
+            .fetch_add(line.len() as u64, Ordering::Relaxed);
+        let decision = self.faults.map(FaultInjector::next_read_decision);
+        match decision {
+            None | Some(ReadFaultAction::Deliver) => {}
+            // The request was lost mid-read: close without replying,
+            // exactly as a peer crash would look.
+            Some(ReadFaultAction::DropRequest) => return Answer::Close(None),
+            Some(ReadFaultAction::Truncate) => {
+                // A torn read: the engine sees only the prefix that made
+                // it, which cannot parse, so the reply (if the prefix is
+                // non-blank) is a typed `json` error frame.
+                let mut cut = line.len() / 2;
+                while !line.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                line.truncate(cut);
+                return Answer::Close(self.server.process_line(line));
+            }
+            Some(ReadFaultAction::FlipByte(at)) => {
+                let mut bytes = std::mem::take(line).into_bytes();
+                flip_byte(&mut bytes, at);
+                match String::from_utf8(bytes) {
+                    // ASCII JSON + high-bit flip ⇒ invalid UTF-8: the
+                    // same typed answer the loop's UTF-8 guard gives.
+                    Err(_) => return Answer::Close(Some(self.server.error_reply(not_utf8()))),
+                    // A non-ASCII byte flipped back into ASCII: still a
+                    // garbled line, deliver it and let the engine answer.
+                    Ok(garbled) => *line = garbled,
+                }
+            }
+        }
+        match self.server.process_line(line) {
+            Some(reply) => Answer::Reply(reply),
+            None => Answer::Skip,
+        }
+    }
+
+    fn write_reply(&mut self, writer: &mut dyn Write, reply: &str) -> std::io::Result<bool> {
+        self.server.write_chaotic_line(self.faults, writer, reply)
+    }
+
+    fn error_reply(&self, e: LeqaError) -> String {
+        self.server.error_reply(e)
+    }
 }
 
 /// Flips the high bit of `bytes[at % len]`. On the ASCII JSON this
@@ -453,7 +577,6 @@ impl Server {
             overloaded: s.overloaded.load(Ordering::Relaxed),
             bytes_in: s.bytes_in.load(Ordering::Relaxed),
             bytes_out: s.bytes_out.load(Ordering::Relaxed),
-            frames_in_flight: s.frames_in_flight.load(Ordering::Relaxed),
             store_hits: store.store_hits,
             store_misses: store.store_misses,
             replicas_restarted: 0,
@@ -488,13 +611,6 @@ impl Server {
                 self.shutdown();
                 ack
             }
-            // The TCP transport intercepts upgrade lines before they
-            // reach the engine; seeing one here means the transport
-            // cannot switch framing (stdio, in-memory).
-            Frame::Control(ControlFrame::Upgrade(_)) => self.error_reply(LeqaError::new(
-                ErrorKind::Json,
-                "`upgrade` is only available on the TCP transport",
-            )),
             work => match self.admit() {
                 Ok(permit) => self.execute_deadlined(work, permit, timeout_ms, arrived),
                 Err(e) => self.overloaded_reply(e),
@@ -513,7 +629,7 @@ impl Server {
     fn execute_deadlined(
         &self,
         frame: Frame,
-        permit: InflightPermit,
+        permit: InflightPermit<'_>,
         timeout_ms: Option<u64>,
         arrived: Instant,
     ) -> String {
@@ -540,10 +656,8 @@ impl Server {
     }
 
     /// Executes one already-admitted work frame, holding `permit` for
-    /// the duration. Shared by the NDJSON line engine and the pipelined
-    /// frame dispatcher, so both transports produce byte-identical
-    /// replies through one code path.
-    fn execute_work(&self, frame: Frame, permit: InflightPermit) -> String {
+    /// the duration.
+    fn execute_work(&self, frame: Frame, permit: InflightPermit<'_>) -> String {
         let reply = match frame {
             Frame::Single(req) => {
                 self.count_endpoint(&req);
@@ -573,8 +687,8 @@ impl Server {
 
     /// Serves one already-open connection: read lines, write replies,
     /// until EOF or shutdown. Used directly for stdio and in-memory
-    /// transports; TCP connections run the poll-aware variant so idle
-    /// reads cannot stall a drain.
+    /// transports, without fault injection; TCP connections run the
+    /// same loop with a read timeout so idle reads cannot stall a drain.
     ///
     /// A connection blocked inside `read_line` observes shutdown only
     /// when its next line (or EOF) arrives — a generic `BufRead` cannot
@@ -596,35 +710,11 @@ impl Server {
         writer: &mut dyn Write,
     ) -> Result<(), LeqaError> {
         let _guard = self.open_connection();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // EOF: the client hung up.
-                Ok(n) => {
-                    self.inner
-                        .stats
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    let reply = self
-                        .error_reply(LeqaError::new(ErrorKind::Json, "frame is not valid UTF-8"));
-                    writer
-                        .write_all(reply.as_bytes())
-                        .map_err(LeqaError::from)?;
-                    writer.write_all(b"\n").map_err(LeqaError::from)?;
-                    writer.flush().map_err(LeqaError::from)?;
-                    return Ok(());
-                }
-                Err(e) => return Err(LeqaError::from(e)),
-            }
-            self.write_reply(writer, &line).map_err(LeqaError::from)?;
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-        }
+        let mut conn = Connection {
+            server: self,
+            faults: None,
+        };
+        serve_lines(&mut conn, reader, writer).map_err(LeqaError::from)
     }
 
     /// Serves the stdio transport (`leqa serve --stdio`): one connection
@@ -688,28 +778,21 @@ impl Server {
         }
     }
 
-    /// Processes `line` and writes the reply (if any), flushing so
-    /// clients see it promptly.
-    fn write_reply(&self, writer: &mut dyn Write, line: &str) -> std::io::Result<()> {
-        if let Some(reply) = self.process_line(line) {
-            self.write_line(writer, &reply)?;
-        }
-        Ok(())
-    }
-
     /// Writes one NDJSON reply line through the fault injector: without
-    /// one this is exactly [`write_line`](Self::write_line); with one,
+    /// one this is exactly [`send_line`](Self::send_line); with one,
     /// the injector's per-event decision may delay the write, swallow
     /// the reply and close the connection, write a torn prefix, flip one
     /// payload byte, or trade the reply for a whole-replica kill.
+    /// Returns whether the connection keeps serving.
     fn write_chaotic_line(
         &self,
+        faults: Option<&FaultInjector>,
         writer: &mut dyn Write,
         reply: &str,
-    ) -> std::io::Result<ChaosOutcome> {
-        let Some(injector) = &self.inner.faults else {
-            self.write_line(writer, reply)?;
-            return Ok(ChaosOutcome::Continue);
+    ) -> std::io::Result<bool> {
+        let Some(injector) = faults else {
+            self.send_line(writer, reply)?;
+            return Ok(true);
         };
         let decision = injector.next_decision();
         if let Some(delay) = decision.delay {
@@ -717,13 +800,13 @@ impl Server {
         }
         match decision.action {
             FaultAction::Deliver => {
-                self.write_line(writer, reply)?;
-                Ok(ChaosOutcome::Continue)
+                self.send_line(writer, reply)?;
+                Ok(true)
             }
-            FaultAction::DropConnection => Ok(ChaosOutcome::CloseConnection),
+            FaultAction::DropConnection => Ok(false),
             FaultAction::KillReplica => {
                 self.shutdown();
-                Ok(ChaosOutcome::CloseConnection)
+                Ok(false)
             }
             FaultAction::Truncate => {
                 // A torn write, as a crash mid-flush would leave: half
@@ -732,11 +815,8 @@ impl Server {
                 let cut = bytes.len() / 2;
                 writer.write_all(&bytes[..cut])?;
                 writer.flush()?;
-                self.inner
-                    .stats
-                    .bytes_out
-                    .fetch_add(cut as u64, Ordering::Relaxed);
-                Ok(ChaosOutcome::CloseConnection)
+                self.count_out(cut);
+                Ok(false)
             }
             FaultAction::FlipByte(at) => {
                 let mut bytes = reply.as_bytes().to_vec();
@@ -744,80 +824,30 @@ impl Server {
                 writer.write_all(&bytes)?;
                 writer.write_all(b"\n")?;
                 writer.flush()?;
-                self.inner
-                    .stats
-                    .bytes_out
-                    .fetch_add(bytes.len() as u64 + 1, Ordering::Relaxed);
-                Ok(ChaosOutcome::Continue)
-            }
-        }
-    }
-
-    /// Applies the fault injector's request-read decision to one inbound
-    /// line, mutating it in place when the damage leaves something to
-    /// deliver. Without an injector this is a no-op `Proceed` — the
-    /// byte-stable production path.
-    fn read_chaotic_line(&self, line: &mut String) -> ReadChaosOutcome {
-        let Some(injector) = &self.inner.faults else {
-            return ReadChaosOutcome::Proceed;
-        };
-        match injector.next_read_decision() {
-            ReadFaultAction::Deliver => ReadChaosOutcome::Proceed,
-            ReadFaultAction::DropRequest => ReadChaosOutcome::CloseSilently,
-            ReadFaultAction::Truncate => {
-                // A torn read: the engine sees only the prefix that made
-                // it; the remainder died with the peer. The torn prefix
-                // of a JSON document cannot parse, so the reply (if the
-                // prefix is non-blank) is a typed `json` error frame.
-                let mut cut = line.len() / 2;
-                while !line.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                line.truncate(cut);
-                match self.process_line(line) {
-                    Some(reply) => ReadChaosOutcome::ReplyAndClose(reply),
-                    None => ReadChaosOutcome::CloseSilently,
-                }
-            }
-            ReadFaultAction::FlipByte(at) => {
-                let mut bytes = line.clone().into_bytes();
-                flip_byte(&mut bytes, at);
-                match String::from_utf8(bytes) {
-                    // ASCII JSON + high-bit flip ⇒ invalid UTF-8: the
-                    // same typed answer the UTF-8 read guard gives.
-                    Err(_) => {
-                        ReadChaosOutcome::ReplyAndClose(self.error_reply(LeqaError::new(
-                            ErrorKind::Json,
-                            "frame is not valid UTF-8",
-                        )))
-                    }
-                    // A non-ASCII byte flipped back into ASCII: still a
-                    // garbled line, deliver it and let the engine answer.
-                    Ok(garbled) => {
-                        *line = garbled;
-                        ReadChaosOutcome::Proceed
-                    }
-                }
+                self.count_out(bytes.len() + 1);
+                Ok(true)
             }
         }
     }
 
     /// Writes one reply line (with newline + flush), counting the bytes.
-    fn write_line(&self, writer: &mut dyn Write, reply: &str) -> std::io::Result<()> {
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+    fn send_line(&self, writer: &mut dyn Write, reply: &str) -> std::io::Result<()> {
+        write_line(writer, reply)?;
+        self.count_out(reply.len() + 1);
+        Ok(())
+    }
+
+    fn count_out(&self, bytes: usize) {
         self.inner
             .stats
             .bytes_out
-            .fetch_add(reply.len() as u64 + 1, Ordering::Relaxed);
-        Ok(())
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Admission control for one work frame: refused while draining or
     /// at the inflight cap; otherwise the returned permit holds one
     /// inflight slot until dropped.
-    fn admit(&self) -> Result<InflightPermit, LeqaError> {
+    fn admit(&self) -> Result<InflightPermit<'_>, LeqaError> {
         if self.is_shutting_down() {
             return Err(LeqaError::new(
                 ErrorKind::Overloaded,
@@ -841,9 +871,7 @@ impl Server {
         } else {
             inflight.fetch_add(1, Ordering::AcqRel);
         }
-        Ok(InflightPermit {
-            server: self.clone(),
-        })
+        Ok(InflightPermit { inflight })
     }
 
     fn count_endpoint(&self, req: &Request) {
@@ -867,13 +895,10 @@ impl Server {
         ErrorFrame::new(e).to_json().encode()
     }
 
-    /// One TCP connection: like [`serve_connection`](Self::serve_connection)
-    /// but with a read timeout so a connection idling in `read` observes
-    /// the shutdown flag within the configured read-poll period
-    /// ([`ServerConfig::read_poll_ms`]). An
-    /// `{"cmd":"upgrade","proto":"frame1"}` line switches the connection
-    /// to the pipelined binary framing ([`serve_frames`](Self::serve_frames))
-    /// after the NDJSON ack.
+    /// One TCP connection: [`serve_connection`](Self::serve_connection)
+    /// with the fault injector (if any) and a read timeout, so a
+    /// connection idling in `read` observes the shutdown flag within the
+    /// configured read-poll period ([`ServerConfig::read_poll_ms`]).
     fn serve_tcp_connection(&self, stream: TcpStream) -> std::io::Result<()> {
         let _guard = self.open_connection();
         stream.set_read_timeout(Some(self.inner.config.read_poll()))?;
@@ -882,321 +907,11 @@ impl Server {
         stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // EOF
-                Ok(n) => {
-                    self.inner
-                        .stats
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    // Read-side chaos strikes the raw inbound bytes,
-                    // before the line is interpreted at all (an upgrade
-                    // request can be corrupted like any other).
-                    match self.read_chaotic_line(&mut line) {
-                        ReadChaosOutcome::Proceed => {}
-                        ReadChaosOutcome::CloseSilently => return Ok(()),
-                        ReadChaosOutcome::ReplyAndClose(reply) => {
-                            writer.write_all(reply.as_bytes())?;
-                            writer.write_all(b"\n")?;
-                            return writer.flush();
-                        }
-                    }
-                    if let Some(proto) = upgrade_request(&line) {
-                        self.inner.stats.ticks.fetch_add(1, Ordering::Relaxed);
-                        self.write_line(&mut writer, &UpgradeAck { proto }.to_json().encode())?;
-                        // Bytes the client optimistically sent after its
-                        // upgrade line are sitting in the BufReader; hand
-                        // them to the frame decoder.
-                        let residual = reader.buffer().to_vec();
-                        drop(reader);
-                        return self.serve_frames(writer, residual);
-                    }
-                    let reply = self.process_line(&line);
-                    line.clear();
-                    if let Some(reply) = reply {
-                        match self.write_chaotic_line(&mut writer, &reply)? {
-                            ChaosOutcome::Continue => {}
-                            ChaosOutcome::CloseConnection => return Ok(()),
-                        }
-                    }
-                    if self.is_shutting_down() {
-                        return Ok(());
-                    }
-                }
-                // Timeout mid-wait: any partial bytes stay in `line`;
-                // the next read appends the rest of the frame.
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if self.is_shutting_down() {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    // Not UTF-8: answer with a typed frame, then close
-                    // (the byte stream can no longer be framed).
-                    let reply = self
-                        .error_reply(LeqaError::new(ErrorKind::Json, "frame is not valid UTF-8"));
-                    writer.write_all(reply.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    return writer.flush();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Serves one upgraded connection in `frame1` mode: a reader loop
-    /// (this thread) decodes `[len][tag][payload]` frames and submits
-    /// work to [`Pool::global`](leqa::pool::Pool::global) **without
-    /// waiting**; a writer thread drains the completion channel and
-    /// writes response frames as they finish. One pipelining client can
-    /// therefore keep the whole worker pool saturated, and responses
-    /// complete out of order — matched to requests by tag.
-    ///
-    /// `residual` is whatever the NDJSON reader had buffered past the
-    /// upgrade line (already read off the socket).
-    fn serve_frames(&self, stream: TcpStream, residual: Vec<u8>) -> std::io::Result<()> {
-        let (tx, rx) = mpsc::channel::<(u32, String)>();
-        let writer_stream = stream.try_clone()?;
-        let server = self.clone();
-        let writer = std::thread::Builder::new()
-            .name("leqa-frame-writer".to_string())
-            .spawn(move || {
-                let mut w = BufWriter::new(writer_stream);
-                // Batch flushes: drain whatever is ready, flush once.
-                while let Ok(first) = rx.recv() {
-                    let mut pending = vec![first];
-                    pending.extend(rx.try_iter());
-                    for (tag, payload) in &pending {
-                        match server.write_chaotic_frame(&mut w, *tag, payload) {
-                            Ok(ChaosOutcome::Continue) => {}
-                            Ok(ChaosOutcome::CloseConnection) => {
-                                // Chaotic drop/kill/torn write: tear the
-                                // socket down so the reader loop ends too.
-                                let _ = w.flush();
-                                let _ = w.get_ref().shutdown(std::net::Shutdown::Both);
-                                return;
-                            }
-                            Err(_) => return, // client gone: drop the channel
-                        }
-                    }
-                    if w.flush().is_err() {
-                        return;
-                    }
-                }
-            })?;
-
-        let mut decoder = FrameDecoder::new();
-        self.inner
-            .stats
-            .bytes_in
-            .fetch_add(residual.len() as u64, Ordering::Relaxed);
-        decoder.push(&residual);
-        let mut reader = stream;
-        let mut buf = [0u8; 16 * 1024];
-        let mut result = Ok(());
-        'conn: loop {
-            loop {
-                match decoder.next() {
-                    Ok(Some((tag, payload))) => self.dispatch_frame(tag, payload, &tx),
-                    Ok(None) => break,
-                    Err(fe) => {
-                        // Framing violation (oversized length): answer on
-                        // the offending tag and close — the stream can no
-                        // longer be trusted.
-                        let reply = self.error_reply(fe.error);
-                        let _ = tx.send((fe.tag.unwrap_or(0), reply));
-                        break 'conn;
-                    }
-                }
-            }
-            if self.is_shutting_down() {
-                break;
-            }
-            match reader.read(&mut buf) {
-                Ok(0) => {
-                    if let Err(fe) = decoder.finish() {
-                        let reply = self.error_reply(fe.error);
-                        let _ = tx.send((fe.tag.unwrap_or(0), reply));
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    self.inner
-                        .stats
-                        .bytes_in
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    decoder.push(&buf[..n]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        // In-flight jobs hold sender clones; the writer exits once the
-        // last reply is sent (or the client is gone), so joining it
-        // drains this connection's pipeline.
-        drop(tx);
-        let _ = writer.join();
-        result
-    }
-
-    /// Frame-mode twin of [`write_chaotic_line`](Self::write_chaotic_line):
-    /// one `[len][tag][payload]` reply frame through the fault injector
-    /// (byte-counting included); without an injector it is a plain
-    /// [`write_frame`].
-    fn write_chaotic_frame(
-        &self,
-        w: &mut BufWriter<TcpStream>,
-        tag: u32,
-        payload: &str,
-    ) -> Result<ChaosOutcome, LeqaError> {
-        let deliver = |w: &mut BufWriter<TcpStream>, bytes: &[u8]| -> Result<(), LeqaError> {
-            write_frame(w, tag, bytes)?;
-            self.inner
-                .stats
-                .bytes_out
-                .fetch_add((bytes.len() + FRAME_HEADER) as u64, Ordering::Relaxed);
-            Ok(())
+        let mut conn = Connection {
+            server: self,
+            faults: self.inner.faults.as_ref(),
         };
-        let Some(injector) = &self.inner.faults else {
-            deliver(w, payload.as_bytes())?;
-            return Ok(ChaosOutcome::Continue);
-        };
-        let decision = injector.next_decision();
-        if let Some(delay) = decision.delay {
-            std::thread::sleep(delay);
-        }
-        match decision.action {
-            FaultAction::Deliver => {
-                deliver(w, payload.as_bytes())?;
-                Ok(ChaosOutcome::Continue)
-            }
-            FaultAction::DropConnection => Ok(ChaosOutcome::CloseConnection),
-            FaultAction::KillReplica => {
-                self.shutdown();
-                Ok(ChaosOutcome::CloseConnection)
-            }
-            FaultAction::Truncate => {
-                // A torn frame: encode the full [len][tag][payload] then
-                // put only half of it on the wire before closing.
-                let mut framed = Vec::with_capacity(payload.len() + FRAME_HEADER);
-                write_frame(&mut framed, tag, payload.as_bytes())?;
-                let cut = framed.len() / 2;
-                w.write_all(&framed[..cut]).map_err(LeqaError::from)?;
-                w.flush().map_err(LeqaError::from)?;
-                self.inner
-                    .stats
-                    .bytes_out
-                    .fetch_add(cut as u64, Ordering::Relaxed);
-                Ok(ChaosOutcome::CloseConnection)
-            }
-            FaultAction::FlipByte(at) => {
-                let mut bytes = payload.as_bytes().to_vec();
-                flip_byte(&mut bytes, at);
-                deliver(w, &bytes)?;
-                Ok(ChaosOutcome::Continue)
-            }
-        }
-    }
-
-    /// Routes one decoded frame: control frames answer inline (they
-    /// bypass admission, as on the NDJSON channel); work frames are
-    /// admitted here — so `overloaded` refusals carry the offending tag
-    /// immediately — then executed on the worker pool, completing out of
-    /// order through `tx`.
-    fn dispatch_frame(&self, tag: u32, payload: Vec<u8>, tx: &mpsc::Sender<(u32, String)>) {
-        let arrived = Instant::now();
-        self.inner.stats.ticks.fetch_add(1, Ordering::Relaxed);
-        let text = match String::from_utf8(payload) {
-            Ok(text) => text,
-            Err(_) => {
-                let reply =
-                    self.error_reply(LeqaError::new(ErrorKind::Json, "frame is not valid UTF-8"));
-                let _ = tx.send((tag, reply));
-                return;
-            }
-        };
-        let (frame, timeout_ms) = match classify_line(text.trim()) {
-            Ok(classified) => classified,
-            Err(e) => {
-                let _ = tx.send((tag, self.error_reply(e)));
-                return;
-            }
-        };
-        match frame {
-            Frame::Control(ControlFrame::Stats) => {
-                let _ = tx.send((tag, self.stats().to_json().encode()));
-            }
-            Frame::Control(ControlFrame::Shutdown) => {
-                let ack = ShutdownAck.to_json().encode();
-                self.shutdown();
-                let _ = tx.send((tag, ack));
-            }
-            Frame::Control(ControlFrame::Upgrade(_)) => {
-                let reply = self.error_reply(LeqaError::new(
-                    ErrorKind::Json,
-                    "connection already upgraded to frame1",
-                ));
-                let _ = tx.send((tag, reply));
-            }
-            work => {
-                let permit = match self.admit() {
-                    Ok(permit) => permit,
-                    Err(e) => {
-                        let _ = tx.send((tag, self.overloaded_reply(e)));
-                        return;
-                    }
-                };
-                self.inner
-                    .stats
-                    .frames_in_flight
-                    .fetch_add(1, Ordering::AcqRel);
-                let server = self.clone();
-                let tx = tx.clone();
-                leqa::pool::Pool::global().submit(move || {
-                    // Catch panics so a poisoned request can't kill a
-                    // pool worker; the permit drops either way.
-                    let reply = catch_unwind(AssertUnwindSafe(|| {
-                        server.execute_deadlined(work, permit, timeout_ms, arrived)
-                    }))
-                    .unwrap_or_else(|_| {
-                        server.error_reply(LeqaError::internal("request panicked during execution"))
-                    });
-                    server
-                        .inner
-                        .stats
-                        .frames_in_flight
-                        .fetch_sub(1, Ordering::AcqRel);
-                    let _ = tx.send((tag, reply));
-                });
-            }
-        }
-    }
-}
-
-/// Recognizes an `{"cmd":"upgrade",…}` line cheaply: the substring probe
-/// keeps the hot NDJSON path from re-parsing every line, the full parse
-/// confirms. Malformed upgrade lines return `None` and fall through to
-/// the line engine, which answers with a typed error frame.
-pub(crate) fn upgrade_request(line: &str) -> Option<FrameProto> {
-    let line = line.trim();
-    if line.is_empty() || !line.contains("\"upgrade\"") {
-        return None;
-    }
-    match Frame::parse(line) {
-        Ok(Frame::Control(ControlFrame::Upgrade(proto))) => Some(proto),
-        _ => None,
+        serve_lines(&mut conn, &mut reader, &mut writer)
     }
 }
 
@@ -1448,8 +1163,13 @@ mod tests {
         assert_eq!(lines.len(), 2, "third line never processed: {out}");
         assert!(lines[0].contains("\"op\":\"estimate\""));
         assert!(lines[1].contains("\"op\":\"shutdown\""));
-        assert_eq!(server.stats().connections, 1);
-        assert_eq!(server.stats().active_connections, 0);
+        let stats = server.stats();
+        assert_eq!(stats.connections, 1);
+        assert_eq!(stats.active_connections, 0);
+        // The two lines read and every reply byte written are counted.
+        let read = estimate_line("qft_8").len() + "{\"cmd\":\"shutdown\"}".len() + 2;
+        assert_eq!(stats.bytes_in, read as u64);
+        assert_eq!(stats.bytes_out, out.len() as u64);
     }
 
     #[test]
@@ -1471,6 +1191,42 @@ mod tests {
         assert_eq!(frame.error.kind(), ErrorKind::Json);
         assert!(frame.error.to_string().contains("UTF-8"));
         assert_eq!(server.stats().active_connections, 0);
+    }
+
+    /// A service whose `answer` panics on lines containing `boom`.
+    struct Panicky;
+
+    impl LineService for Panicky {
+        fn stopping(&self) -> bool {
+            false
+        }
+
+        fn answer(&mut self, line: &mut String) -> Answer {
+            assert!(!line.contains("boom"), "request panicked");
+            Answer::Reply(line.trim().to_string())
+        }
+
+        fn write_reply(&mut self, writer: &mut dyn Write, reply: &str) -> std::io::Result<bool> {
+            write_line(writer, reply)?;
+            Ok(true)
+        }
+
+        fn error_reply(&self, e: LeqaError) -> String {
+            ErrorFrame::new(e).to_json().encode()
+        }
+    }
+
+    #[test]
+    fn a_panicking_answer_becomes_an_internal_error_frame_and_the_loop_goes_on() {
+        let mut reader = std::io::Cursor::new(b"boom\nok\n".to_vec());
+        let mut out = Vec::new();
+        serve_lines(&mut Panicky, &mut reader, &mut out).expect("no io error");
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        let frame = ErrorFrame::from_json(&json::parse(lines[0]).unwrap()).unwrap();
+        assert_eq!(frame.error.kind(), ErrorKind::Internal);
+        assert_eq!(lines[1], "ok");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! `leqa shard` — a sharded front-end over N daemon replicas.
 //!
-//! One listener accepts clients speaking the same wire protocols as a
-//! single daemon (NDJSON by default, `frame1` after upgrade — see
-//! [`crate::server`] and [`crate::frame`]); behind it, N replica daemons
+//! One listener accepts clients speaking the same NDJSON protocol as a
+//! single daemon (see [`crate::server`]); behind it, N replica daemons
 //! (spawned in-process or attached by address) do the work. The
 //! front-end:
 //!
@@ -11,45 +10,52 @@
 //!   content-hash discipline as the session profile cache) picks the
 //!   replica, so repeats of a program always land on the replica whose
 //!   cache is warm;
-//! * **broadcasts control frames**: `{"cmd":"stats"}` fans out to every
-//!   live replica and the [`StatsResponse`]s merge
+//! * **broadcasts control frames**: `{"cmd":"stats"}` visits every live
+//!   replica in turn and the [`StatsResponse`]s merge
 //!   ([`StatsResponse::merge`]) into one fleet-wide snapshot;
 //!   `{"cmd":"shutdown"}` stops the whole fleet, then the front-end;
-//! * **fails over**: a replica that drops its connection is marked dead
-//!   fleet-wide, its in-flight work frames re-route to the next live
-//!   replica (requests are pure computations, so a resend is safe), and
-//!   broadcasts complete without it. With no live replicas left,
-//!   requests answer with a retryable `unavailable` error frame.
-//! * **supervises the fleet**: [`BoundShard::run`] probes every live
-//!   replica with a deadline-bounded `{"cmd":"stats"}` ping; a replica
-//!   that stops answering is marked dead even if no request has touched
-//!   it. When a restart factory is registered
+//! * **fails over**: each client connection forwards its lines one at a
+//!   time over its own NDJSON link to the routed replica. A link that
+//!   closes, tears or returns a reply that is not UTF-8 is reopened and
+//!   the request resent (requests are pure computations, so a resend is
+//!   safe), at most three times per replica. After that the
+//!   request moves to the next live replica; once every replica has
+//!   been tried, the reply is a retryable `unavailable` error frame.
+//! * **supervises the fleet**: only a failed connect or a failed
+//!   supervisor probe marks a replica dead. [`BoundShard::run`] probes
+//!   every live replica with a deadline-bounded `{"cmd":"stats"}` ping;
+//!   a replica that stops answering is marked dead even if no request
+//!   has touched it. When a restart factory is registered
 //!   ([`Shard::supervise`]), dead in-process replicas are relaunched on
 //!   a fresh port (re-warmed from the profile snapshot store when the
 //!   factory builds its sessions with a `cache_dir`) under a **bounded
 //!   restart budget** — once the budget is spent the fleet stays down
 //!   and clients keep getting `unavailable`. Replica incarnations carry
-//!   a generation counter, so a stale link dying cannot kill a freshly
+//!   a generation counter, so a stale link failing cannot kill a freshly
 //!   restarted replica.
 //!
-//! Replica links always speak `frame1` (the front-end upgrades each link
-//! it opens), so one client connection pipelining frames keeps every
-//! replica busy concurrently. Replies stay **byte-identical** to a
-//! direct daemon: work replies are forwarded verbatim.
+//! Replies stay **byte-identical** to a direct daemon: work replies are
+//! forwarded verbatim.
 
-use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::dto::{ControlFrame, ErrorFrame, ShutdownAck, StatsResponse, UpgradeAck};
-use crate::frame::{write_frame, FrameDecoder};
+use crate::dto::{ControlFrame, ErrorFrame, ShutdownAck, StatsResponse};
 use crate::json;
-use crate::server::{upgrade_request, Frame, Server, DEFAULT_READ_POLL_MS};
+use crate::server::{
+    serve_lines, write_line, Answer, Frame, LineService, Server, DEFAULT_READ_POLL_MS,
+};
 use crate::session::fnv1a;
 use crate::{ErrorKind, LeqaError};
+
+/// How many times one request is resent to the same replica over a
+/// fresh link after its link closed, tore or answered with bytes that
+/// are not UTF-8 — and how many times the supervisor re-probes a
+/// replica whose probe connection closed — before giving up on it.
+const LINK_RETRIES: usize = 3;
 
 /// A factory the supervisor calls to build each replacement replica
 /// (typically `Session::builder().cache_dir(…)` + `Server::new`, so the
@@ -61,12 +67,12 @@ struct Replica {
     /// Current address — replaced when the supervisor restarts an
     /// in-process replica on a fresh port.
     addr: Mutex<SocketAddr>,
-    /// Cleared fleet-wide when any connection (or the supervisor's
-    /// probe) sees this replica die; set again only by a supervised
+    /// Cleared fleet-wide when a connect to this replica fails or the
+    /// supervisor's probe gets no answer; set again only by a supervised
     /// restart.
     alive: AtomicBool,
     /// Incarnation counter, bumped on every restart. Links remember the
-    /// generation they opened against, so a stale link dying cannot
+    /// generation they opened against, so a stale link failing cannot
     /// mark a freshly restarted replica dead.
     generation: AtomicU64,
     /// The in-process server for spawned replicas (used to stop and
@@ -372,35 +378,63 @@ impl Shard {
 }
 
 /// Deadline-bounded health probe: connect, send `{"cmd":"stats"}`, and
-/// require at least one full reply line back within the deadline.
+/// require at least one full reply line back within the deadline. A
+/// probe connection that closes before replying is retried, like a
+/// request link, at most [`LINK_RETRIES`] times; a failed connect or an
+/// expired deadline fails the probe at once.
 fn probe_replica(replica: &Replica, deadline: Duration) -> bool {
-    let addr = replica.addr();
+    for _ in 0..=LINK_RETRIES {
+        match probe_once(replica.addr(), deadline) {
+            Probe::Answered => return true,
+            Probe::Closed => {}
+            Probe::Silent => return false,
+        }
+    }
+    false
+}
+
+enum Probe {
+    Answered,
+    /// The connection closed (or reset) before a full reply line.
+    Closed,
+    /// No connection, or no reply within the deadline.
+    Silent,
+}
+
+fn probe_once(addr: SocketAddr, deadline: Duration) -> Probe {
     let Ok(mut stream) = TcpStream::connect_timeout(&addr, deadline) else {
-        return false;
+        return Probe::Silent;
     };
     if stream.set_read_timeout(Some(deadline)).is_err()
         || stream.set_write_timeout(Some(deadline)).is_err()
-        || stream.write_all(b"{\"cmd\":\"stats\"}\n").is_err()
-        || stream.flush().is_err()
     {
-        return false;
+        return Probe::Silent;
+    }
+    if stream.write_all(b"{\"cmd\":\"stats\"}\n").is_err() || stream.flush().is_err() {
+        return Probe::Closed;
     }
     let start = Instant::now();
     let mut buf = [0u8; 1024];
     loop {
         if start.elapsed() > deadline {
-            return false;
+            return Probe::Silent;
         }
         match stream.read(&mut buf) {
-            Ok(0) => return false,
+            Ok(0) => return Probe::Closed,
             Ok(n) => {
                 if buf[..n].contains(&b'\n') {
-                    return true;
+                    return Probe::Answered;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             // WouldBlock/TimedOut: the read timeout is the deadline.
-            Err(_) => return false,
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                return Probe::Silent
+            }
+            Err(_) => return Probe::Closed,
         }
     }
 }
@@ -508,327 +542,187 @@ impl BoundShard {
 
 // ── Per-connection state ─────────────────────────────────────────────
 
-/// How a reply reaches the client.
-enum Deliver {
-    /// Frame-mode client: write a frame carrying this tag.
-    Tag(u32),
-    /// Line-mode client: rendezvous with the (serial) client loop.
-    Sync(mpsc::Sender<String>),
+/// One client connection's NDJSON link to a replica incarnation.
+struct Link {
+    stream: BufReader<TcpStream>,
+    /// The replica generation this link was opened against.
+    generation: u64,
 }
 
-enum PendingKind {
-    /// Forward the replica's reply verbatim.
-    Work(Deliver),
-    /// Merge every replica's stats, deliver the sum.
-    Stats {
-        outstanding: Vec<usize>,
-        acc: StatsResponse,
-        deliver: Deliver,
-    },
-    /// Deliver one ack once every replica acked, then stop the shard.
-    Shutdown {
-        outstanding: Vec<usize>,
-        deliver: Deliver,
-    },
-}
+impl Link {
+    fn open(replica: &Replica, generation: u64, read_poll: Duration) -> Option<Link> {
+        let stream = TcpStream::connect(replica.addr()).ok()?;
+        stream.set_nodelay(true).ok()?;
+        stream.set_read_timeout(Some(read_poll)).ok()?;
+        Some(Link {
+            stream: BufReader::new(stream),
+            generation,
+        })
+    }
 
-struct Pending {
-    /// Replica the frame was sent to (`usize::MAX` for broadcasts).
-    replica: usize,
-    /// Routing hash, for re-routing on failover.
-    hash: u64,
-    /// The frame payload, for re-sending on failover.
-    payload: String,
-    kind: PendingKind,
-}
-
-/// A replica link as seen by one client connection. Each open/dead link
-/// remembers the replica *generation* it belongs to, so links to a dead
-/// incarnation are replaced (and their late failures ignored) once the
-/// supervisor restarts the replica.
-enum Link {
-    /// Not opened yet (links open lazily on first routed frame).
-    Closed,
-    /// Upgraded to `frame1`; a reader thread is draining replies.
-    Up { stream: TcpStream, generation: u64 },
-    /// This connection saw the link for that generation die.
-    Dead { generation: u64 },
-}
-
-struct ClientWriter {
-    stream: TcpStream,
-    /// False until the client upgrades; selects line vs frame replies.
-    frame_mode: bool,
-}
-
-impl ClientWriter {
-    fn deliver(&mut self, tag: u32, reply: &str) -> std::io::Result<()> {
-        if self.frame_mode {
-            write_frame(&mut self.stream, tag, reply.as_bytes())
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-        } else {
-            self.stream.write_all(reply.as_bytes())?;
-            self.stream.write_all(b"\n")?;
+    /// Sends one request line and reads its reply line (newline
+    /// stripped). `None` when the link closed, tore, failed, answered
+    /// with bytes that are not UTF-8, or its replica was marked dead
+    /// while the reply was awaited.
+    fn round_trip(&mut self, line: &str, replica: &Replica) -> Option<String> {
+        write_line(self.stream.get_mut(), line).ok()?;
+        let mut reply = String::new();
+        loop {
+            match self.stream.read_line(&mut reply) {
+                // EOF, possibly after a torn prefix, lands here too.
+                Ok(_) => return reply.strip_suffix('\n').map(str::to_string),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut
+                        || e.kind() == std::io::ErrorKind::Interrupted =>
+                {
+                    if !replica.alive.load(Ordering::Acquire) {
+                        return None;
+                    }
+                }
+                Err(_) => return None,
+            }
         }
-        self.stream.flush()
     }
 }
 
-struct ConnState {
+/// The shard as one client connection sees it: the replica set (index
+/// stable for this connection; the `alive` flags inside are the shared
+/// fleet-wide ones) and this connection's links, opened lazily.
+struct ClientConn {
     shard: Shard,
-    /// Replica set snapshot (index-stable for this connection; the
-    /// `alive` flags inside are the shared fleet-wide ones).
     replicas: Vec<Arc<Replica>>,
-    writer: Mutex<ClientWriter>,
-    links: Vec<Mutex<Link>>,
-    pending: Mutex<HashMap<u32, Pending>>,
-    /// Internal tags for line-mode requests.
-    next_tag: AtomicU32,
-    /// Set when the client loop exits; replica readers poll it.
-    closed: AtomicBool,
+    links: Vec<Option<Link>>,
 }
 
-impl ConnState {
-    fn pending_is_empty(&self) -> bool {
-        self.pending.lock().expect("no poisoning").is_empty()
+fn unavailable() -> String {
+    let e = LeqaError::new(
+        ErrorKind::Unavailable,
+        "no live replicas (fleet dead or restarting); retry",
+    );
+    ErrorFrame::new(e).to_json().encode()
+}
+
+impl LineService for ClientConn {
+    fn stopping(&self) -> bool {
+        self.shard.is_shutting_down()
+    }
+
+    fn answer(&mut self, line: &mut String) -> Answer {
+        let text = line.trim();
+        if text.is_empty() {
+            return Answer::Skip;
+        }
+        Answer::Reply(match Frame::parse(text) {
+            Err(e) => ErrorFrame::new(e).to_json().encode(),
+            Ok(Frame::Control(control)) => self.broadcast(control, text),
+            Ok(work) => {
+                let n = self.replicas.len();
+                let start = route_hash(&work, text) % n.max(1) as u64;
+                let start = usize::try_from(start).expect("mod n fits usize");
+                (0..n)
+                    .find_map(|i| self.exchange((start + i) % n, text))
+                    .unwrap_or_else(unavailable)
+            }
+        })
+    }
+
+    fn write_reply(&mut self, writer: &mut dyn Write, reply: &str) -> std::io::Result<bool> {
+        write_line(writer, reply)?;
+        Ok(true)
+    }
+
+    fn error_reply(&self, e: LeqaError) -> String {
+        ErrorFrame::new(e).to_json().encode()
     }
 }
 
-fn error_frame(kind: ErrorKind, message: impl Into<String>) -> String {
-    ErrorFrame::new(LeqaError::new(kind, message))
-        .to_json()
-        .encode()
+impl ClientConn {
+    /// Sends one request line to replica `r` and returns its reply. A
+    /// failed link is reopened and the request resent, at most
+    /// [`LINK_RETRIES`] times; `None` means the replica is dead (a
+    /// failed connect marks it so) or kept failing, and the caller moves
+    /// on.
+    fn exchange(&mut self, r: usize, line: &str) -> Option<String> {
+        let replica = Arc::clone(&self.replicas[r]);
+        for _ in 0..=LINK_RETRIES {
+            if !replica.alive.load(Ordering::Acquire) {
+                return None;
+            }
+            let generation = replica.generation.load(Ordering::Acquire);
+            let mut link = match self.links[r].take() {
+                Some(link) if link.generation == generation => link,
+                // None yet, or one to an older incarnation (a stale
+                // port): connect to the current one.
+                _ => match Link::open(&replica, generation, self.shard.read_poll()) {
+                    Some(link) => link,
+                    None => {
+                        // A stale address failing says nothing about a
+                        // freshly restarted incarnation.
+                        if replica.generation.load(Ordering::Acquire) == generation {
+                            replica.alive.store(false, Ordering::Release);
+                        }
+                        return None;
+                    }
+                },
+            };
+            if let Some(reply) = link.round_trip(line, &replica) {
+                self.links[r] = Some(link);
+                return Some(reply);
+            }
+        }
+        None
+    }
+
+    /// Visits every live replica in turn with a control frame: `stats`
+    /// replies merge into one fleet-wide snapshot; `shutdown` stops the
+    /// fleet, then the front-end. A replica that fails on the way is
+    /// skipped.
+    fn broadcast(&mut self, control: ControlFrame, text: &str) -> String {
+        let live: Vec<usize> = (0..self.replicas.len())
+            .filter(|&r| self.replicas[r].alive.load(Ordering::Acquire))
+            .collect();
+        if live.is_empty() {
+            return unavailable();
+        }
+        let mut merged = StatsResponse::default();
+        for r in live {
+            let stats = self
+                .exchange(r, text)
+                .and_then(|reply| StatsResponse::from_json(&json::parse(&reply).ok()?).ok());
+            if let Some(stats) = stats {
+                merged.merge(&stats);
+            }
+        }
+        match control {
+            ControlFrame::Stats => {
+                // The replicas each report 0 restarts (the supervisor
+                // lives here, not there); the fleet-wide count is the
+                // shard's.
+                merged.replicas_restarted += self.shard.replicas_restarted();
+                merged.to_json().encode()
+            }
+            ControlFrame::Shutdown => {
+                self.shard.shutdown();
+                ShutdownAck.to_json().encode()
+            }
+        }
+    }
 }
 
-/// Serves one client connection end to end (line mode, then frame mode
-/// after an upgrade).
+/// Serves one client connection end to end.
 fn serve_client(shard: &Shard, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(shard.read_poll()))?;
     stream.set_nodelay(true)?;
     let replicas = shard.replica_snapshot();
-    let conn = Arc::new(ConnState {
+    let mut conn = ClientConn {
         shard: shard.clone(),
-        links: (0..replicas.len())
-            .map(|_| Mutex::new(Link::Closed))
-            .collect(),
+        links: replicas.iter().map(|_| None).collect(),
         replicas,
-        writer: Mutex::new(ClientWriter {
-            stream: stream.try_clone()?,
-            frame_mode: false,
-        }),
-        pending: Mutex::new(HashMap::new()),
-        next_tag: AtomicU32::new(0),
-        closed: AtomicBool::new(false),
-    });
-    let result = serve_client_lines(&conn, stream);
-    conn.closed.store(true, Ordering::Release);
-    result
-}
-
-/// Line-mode client loop: strict one-reply-per-line rendezvous, exactly
-/// like a single daemon's NDJSON engine. Hands off to
-/// [`serve_client_frames`] on upgrade.
-fn serve_client_lines(conn: &Arc<ConnState>, stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = std::io::BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {
-                if let Some(proto) = upgrade_request(&line) {
-                    let ack = UpgradeAck { proto }.to_json().encode();
-                    {
-                        let mut writer = conn.writer.lock().expect("no poisoning");
-                        writer.deliver(0, &ack)?;
-                        writer.frame_mode = true;
-                    }
-                    let residual = reader.buffer().to_vec();
-                    return serve_client_frames(conn, reader.into_inner(), &residual);
-                }
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let reply = request_reply(conn, trimmed);
-                    conn.writer
-                        .lock()
-                        .expect("no poisoning")
-                        .deliver(0, &reply)?;
-                    if conn.shard.is_shutting_down() {
-                        return Ok(());
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if conn.shard.is_shutting_down() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                let reply = error_frame(ErrorKind::Json, "line is not valid UTF-8");
-                return conn.writer.lock().expect("no poisoning").deliver(0, &reply);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Frame-mode client loop: decode client frames, submit each with its
-/// tag; replica readers deliver replies directly (out of order).
-fn serve_client_frames(
-    conn: &Arc<ConnState>,
-    mut stream: TcpStream,
-    residual: &[u8],
-) -> std::io::Result<()> {
-    let mut decoder = FrameDecoder::new();
-    decoder.push(residual);
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        loop {
-            match decoder.next() {
-                Ok(Some((tag, payload))) => submit_client_frame(conn, tag, payload),
-                Ok(None) => break,
-                Err(fe) => {
-                    let reply = ErrorFrame::new(fe.error).to_json().encode();
-                    let _ = conn
-                        .writer
-                        .lock()
-                        .expect("no poisoning")
-                        .deliver(fe.tag.unwrap_or(0), &reply);
-                    return Ok(());
-                }
-            }
-        }
-        if conn.shard.is_shutting_down() && conn.pending_is_empty() {
-            return Ok(());
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                if let Err(fe) = decoder.finish() {
-                    let reply = ErrorFrame::new(fe.error).to_json().encode();
-                    let _ = conn
-                        .writer
-                        .lock()
-                        .expect("no poisoning")
-                        .deliver(fe.tag.unwrap_or(0), &reply);
-                }
-                // Let in-flight replies drain before tearing down the
-                // connection (replica readers deliver them directly).
-                while !conn.pending_is_empty() && !conn.shard.is_shutting_down() {
-                    std::thread::sleep(conn.shard.read_poll());
-                }
-                return Ok(());
-            }
-            Ok(n) => decoder.push(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Line-mode request: submit under an internal tag and wait for the
-/// (single) reply, preserving the NDJSON one-reply-per-line-in-order
-/// contract.
-fn request_reply(conn: &Arc<ConnState>, text: &str) -> String {
-    let (tx, rx) = mpsc::channel();
-    let tag = conn.next_tag.fetch_add(1, Ordering::Relaxed);
-    submit(conn, tag, text.to_string(), Deliver::Sync(tx));
-    rx.recv()
-        .unwrap_or_else(|_| error_frame(ErrorKind::Internal, "reply channel dropped"))
-}
-
-/// Frame-mode request: the client's tag is the routing identity; a tag
-/// already in flight is refused (its reply could not be matched).
-fn submit_client_frame(conn: &Arc<ConnState>, tag: u32, payload: Vec<u8>) {
-    let text = match String::from_utf8(payload) {
-        Ok(text) => text,
-        Err(_) => {
-            let reply = error_frame(ErrorKind::Json, "frame payload is not valid UTF-8");
-            let _ = conn
-                .writer
-                .lock()
-                .expect("no poisoning")
-                .deliver(tag, &reply);
-            return;
-        }
     };
-    if conn
-        .pending
-        .lock()
-        .expect("no poisoning")
-        .contains_key(&tag)
-    {
-        let reply = error_frame(
-            ErrorKind::Json,
-            format!("tag {tag} is already in flight on this connection"),
-        );
-        let _ = conn
-            .writer
-            .lock()
-            .expect("no poisoning")
-            .deliver(tag, &reply);
-        return;
-    }
-    submit(conn, tag, text, Deliver::Tag(tag));
-}
-
-/// Classifies and routes one request: work frames go to the replica
-/// owning the program's content hash; control frames broadcast.
-fn submit(conn: &Arc<ConnState>, tag: u32, text: String, deliver: Deliver) {
-    let frame = match Frame::parse(text.trim()) {
-        Ok(frame) => frame,
-        Err(e) => {
-            deliver_reply(conn, &deliver, &ErrorFrame::new(e).to_json().encode());
-            return;
-        }
-    };
-    match frame {
-        Frame::Control(ControlFrame::Upgrade(_)) => {
-            let reply = match deliver {
-                Deliver::Tag(_) => {
-                    error_frame(ErrorKind::Json, "connection already upgraded to frame1")
-                }
-                Deliver::Sync(_) => error_frame(
-                    ErrorKind::Json,
-                    "`upgrade` is only available on the TCP transport",
-                ),
-            };
-            deliver_reply(conn, &deliver, &reply);
-        }
-        Frame::Control(control) => broadcast(conn, tag, &text, control, deliver),
-        work => {
-            let hash = route_hash(&work, &text);
-            let Some(replica) = route(conn, hash) else {
-                deliver_reply(
-                    conn,
-                    &deliver,
-                    &error_frame(
-                        ErrorKind::Unavailable,
-                        "no live replicas (fleet dead or restarting); retry",
-                    ),
-                );
-                return;
-            };
-            conn.pending.lock().expect("no poisoning").insert(
-                tag,
-                Pending {
-                    replica,
-                    hash,
-                    payload: text.clone(),
-                    kind: PendingKind::Work(deliver),
-                },
-            );
-            if !send_to_replica(conn, replica, tag, &text) {
-                fail_current(conn, replica);
-            }
-        }
-    }
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    serve_lines(&mut conn, &mut reader, &mut writer)
 }
 
 /// The routing hash: program identity text for single requests (cache
@@ -845,374 +739,6 @@ fn route_hash(frame: &Frame, text: &str) -> u64 {
             fnv1a(identity.as_bytes())
         }
         _ => fnv1a(text.trim().as_bytes()),
-    }
-}
-
-/// First live replica scanning from `hash % n` (wraps around).
-fn route(conn: &Arc<ConnState>, hash: u64) -> Option<usize> {
-    let n = conn.replicas.len();
-    if n == 0 {
-        return None;
-    }
-    let start = usize::try_from(hash % n as u64).expect("mod n fits usize");
-    (0..n)
-        .map(|i| (start + i) % n)
-        .find(|&r| conn.replicas[r].alive.load(Ordering::Acquire))
-}
-
-/// Fans a control frame out to every live replica; the pending entry
-/// completes when the last outstanding replica answers (or dies).
-fn broadcast(conn: &Arc<ConnState>, tag: u32, text: &str, control: ControlFrame, deliver: Deliver) {
-    let targets: Vec<usize> = (0..conn.replicas.len())
-        .filter(|&r| conn.replicas[r].alive.load(Ordering::Acquire))
-        .collect();
-    if targets.is_empty() {
-        deliver_reply(
-            conn,
-            &deliver,
-            &error_frame(
-                ErrorKind::Unavailable,
-                "no live replicas (fleet dead or restarting); retry",
-            ),
-        );
-        return;
-    }
-    let kind = match control {
-        ControlFrame::Stats => PendingKind::Stats {
-            outstanding: targets.clone(),
-            acc: StatsResponse::default(),
-            deliver,
-        },
-        _ => PendingKind::Shutdown {
-            outstanding: targets.clone(),
-            deliver,
-        },
-    };
-    conn.pending.lock().expect("no poisoning").insert(
-        tag,
-        Pending {
-            replica: usize::MAX,
-            hash: 0,
-            payload: text.to_string(),
-            kind,
-        },
-    );
-    for r in targets {
-        if !send_to_replica(conn, r, tag, text) {
-            fail_current(conn, r);
-        }
-    }
-}
-
-/// Writes one frame on replica `r`'s link, opening (and upgrading) the
-/// link first if needed — including *re*-opening a link whose replica
-/// has been restarted since this connection last saw it (newer
-/// generation, alive again). Returns false when the link is dead or the
-/// write failed — the caller runs failover.
-fn send_to_replica(conn: &Arc<ConnState>, r: usize, tag: u32, text: &str) -> bool {
-    let replica = &conn.replicas[r];
-    let mut link = conn.links[r].lock().expect("no poisoning");
-    let current = replica.generation.load(Ordering::Acquire);
-    let reopen = match &*link {
-        Link::Closed => true,
-        // A link to an older incarnation: dead or not, the stream (if
-        // any) points at a stale port — reconnect to the restarted
-        // replica.
-        Link::Up { generation, .. } | Link::Dead { generation } => *generation < current,
-    };
-    if reopen && replica.alive.load(Ordering::Acquire) {
-        match open_link(conn, r, current) {
-            Some(stream) => {
-                *link = Link::Up {
-                    stream,
-                    generation: current,
-                }
-            }
-            None => {
-                *link = Link::Dead {
-                    generation: current,
-                };
-                return false;
-            }
-        }
-    }
-    let Link::Up { stream, .. } = &mut *link else {
-        return false;
-    };
-    if write_frame(stream, tag, text.trim().as_bytes()).is_err() || stream.flush().is_err() {
-        *link = Link::Dead {
-            generation: current,
-        };
-        return false;
-    }
-    true
-}
-
-/// Connects to replica `r` (generation `generation`), performs the
-/// NDJSON → `frame1` upgrade handshake, and spawns the reply reader
-/// thread.
-fn open_link(conn: &Arc<ConnState>, r: usize, generation: u64) -> Option<TcpStream> {
-    let mut stream = TcpStream::connect(conn.replicas[r].addr()).ok()?;
-    stream.set_nodelay(true).ok()?;
-    let upgrade = ControlFrame::Upgrade(crate::FrameProto::Frame1)
-        .to_json()
-        .encode();
-    stream.write_all(upgrade.as_bytes()).ok()?;
-    stream.write_all(b"\n").ok()?;
-    stream.flush().ok()?;
-    let ack = read_line_raw(&mut stream)?;
-    UpgradeAck::from_json(&json::parse(ack.trim()).ok()?).ok()?;
-    stream.set_read_timeout(Some(conn.shard.read_poll())).ok()?;
-    let reader_stream = stream.try_clone().ok()?;
-    let conn = Arc::clone(conn);
-    std::thread::Builder::new()
-        .name("leqa-shard-link".to_string())
-        .spawn(move || replica_reader(&conn, r, generation, reader_stream))
-        .ok()?;
-    Some(stream)
-}
-
-/// Reads one `\n`-terminated line byte by byte (used only for the
-/// once-per-link upgrade ack, where buffering past the line would
-/// swallow the start of the frame stream).
-fn read_line_raw(stream: &mut TcpStream) -> Option<String> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return None,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return String::from_utf8(line).ok();
-                }
-                line.push(byte[0]);
-                if line.len() > 4096 {
-                    return None; // not an ack line
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-}
-
-/// Drains reply frames from replica `r` (generation `generation`) and
-/// completes pending entries; EOF or a read error triggers failover for
-/// that generation.
-fn replica_reader(conn: &Arc<ConnState>, r: usize, generation: u64, mut stream: TcpStream) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if conn.closed.load(Ordering::Acquire) {
-            return;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                fail_replica(conn, r, generation);
-                return;
-            }
-            Ok(n) => {
-                decoder.push(&buf[..n]);
-                loop {
-                    match decoder.next() {
-                        Ok(Some((tag, payload))) => handle_replica_reply(conn, r, tag, &payload),
-                        Ok(None) => break,
-                        Err(_) => {
-                            fail_replica(conn, r, generation);
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                fail_replica(conn, r, generation);
-                return;
-            }
-        }
-    }
-}
-
-/// Completes (or advances) the pending entry a replica reply belongs to.
-fn handle_replica_reply(conn: &Arc<ConnState>, r: usize, tag: u32, payload: &[u8]) {
-    let text = match String::from_utf8(payload.to_vec()) {
-        Ok(text) => text,
-        Err(_) => {
-            // The protocol is ASCII JSON, so a non-UTF-8 reply can only
-            // be transport corruption (e.g. injected byte flips):
-            // resend the request instead of forwarding garbage.
-            resend_pending(conn, r, tag);
-            return;
-        }
-    };
-    let mut pending = conn.pending.lock().expect("no poisoning");
-    let done = match pending.get_mut(&tag) {
-        None => return, // stale (re-routed after this replica died)
-        Some(entry) => match &mut entry.kind {
-            PendingKind::Work(_) => true,
-            PendingKind::Stats {
-                outstanding, acc, ..
-            } => {
-                if let Ok(stats) = json::parse(&text)
-                    .map_err(LeqaError::from)
-                    .and_then(|doc| StatsResponse::from_json(&doc))
-                {
-                    acc.merge(&stats);
-                }
-                outstanding.retain(|&x| x != r);
-                outstanding.is_empty()
-            }
-            PendingKind::Shutdown { outstanding, .. } => {
-                outstanding.retain(|&x| x != r);
-                outstanding.is_empty()
-            }
-        },
-    };
-    if !done {
-        return;
-    }
-    let entry = pending.remove(&tag).expect("entry present");
-    drop(pending);
-    complete(conn, entry, Some(text));
-}
-
-/// Delivers a completed pending entry to the client.
-fn complete(conn: &Arc<ConnState>, entry: Pending, reply: Option<String>) {
-    match entry.kind {
-        PendingKind::Work(deliver) => {
-            let text = reply.unwrap_or_else(|| {
-                error_frame(
-                    ErrorKind::Unavailable,
-                    "replica connection lost with no live replica to fail over to; retry",
-                )
-            });
-            deliver_reply(conn, &deliver, &text);
-        }
-        PendingKind::Stats {
-            mut acc, deliver, ..
-        } => {
-            // The replicas each report 0 restarts (the supervisor lives
-            // here, not there); the fleet-wide count is the shard's.
-            acc.replicas_restarted += conn.shard.replicas_restarted();
-            deliver_reply(conn, &deliver, &acc.to_json().encode());
-        }
-        PendingKind::Shutdown { deliver, .. } => {
-            deliver_reply(conn, &deliver, &ShutdownAck.to_json().encode());
-            conn.shard.shutdown();
-        }
-    }
-}
-
-fn deliver_reply(conn: &Arc<ConnState>, deliver: &Deliver, reply: &str) {
-    match deliver {
-        Deliver::Tag(tag) => {
-            let _ = conn
-                .writer
-                .lock()
-                .expect("no poisoning")
-                .deliver(*tag, reply);
-        }
-        Deliver::Sync(tx) => {
-            let _ = tx.send(reply.to_string());
-        }
-    }
-}
-
-/// Failover: marks replica `r` dead fleet-wide (only when the failing
-/// link belongs to its *current* incarnation — a stale link dying says
-/// nothing about a restarted replica), re-routes its in-flight work
-/// frames to the next live replica (requests are pure computations, so a
-/// resend is safe), and completes broadcasts without it.
-fn fail_replica(conn: &Arc<ConnState>, r: usize, generation: u64) {
-    let replica = &conn.replicas[r];
-    if replica.generation.load(Ordering::Acquire) == generation {
-        replica.alive.store(false, Ordering::Release);
-    }
-    {
-        let mut link = conn.links[r].lock().expect("no poisoning");
-        // Never clobber a link that has already moved on to a newer
-        // incarnation.
-        let stale = match &*link {
-            Link::Closed => true,
-            Link::Up { generation: g, .. } | Link::Dead { generation: g } => *g <= generation,
-        };
-        if stale {
-            *link = Link::Dead { generation };
-        }
-    }
-    let mut resend: Vec<(u32, String, usize)> = Vec::new();
-    let mut completed: Vec<Pending> = Vec::new();
-    {
-        let mut pending = conn.pending.lock().expect("no poisoning");
-        let tags: Vec<u32> = pending.keys().copied().collect();
-        for tag in tags {
-            let entry = pending.get_mut(&tag).expect("tag present");
-            match &mut entry.kind {
-                PendingKind::Work(_) => {
-                    if entry.replica != r {
-                        continue;
-                    }
-                    match route(conn, entry.hash) {
-                        Some(next) => {
-                            entry.replica = next;
-                            resend.push((tag, entry.payload.clone(), next));
-                        }
-                        None => {
-                            completed.push(pending.remove(&tag).expect("tag present"));
-                        }
-                    }
-                }
-                PendingKind::Stats { outstanding, .. }
-                | PendingKind::Shutdown { outstanding, .. } => {
-                    outstanding.retain(|&x| x != r);
-                    if outstanding.is_empty() {
-                        completed.push(pending.remove(&tag).expect("tag present"));
-                    }
-                }
-            }
-        }
-    }
-    for entry in completed {
-        complete(conn, entry, None);
-    }
-    for (tag, payload, next) in resend {
-        if !send_to_replica(conn, next, tag, &payload) {
-            fail_current(conn, next);
-        }
-    }
-}
-
-/// Fails replica `r`'s *current* incarnation (used where the failure was
-/// observed on a just-attempted send rather than an existing link).
-fn fail_current(conn: &Arc<ConnState>, r: usize) {
-    let generation = conn.replicas[r].generation.load(Ordering::Acquire);
-    fail_replica(conn, r, generation);
-}
-
-/// Resends a pending entry's payload to replica `r` after a corrupt
-/// reply (the request is a pure computation, so re-execution is safe).
-/// Work entries resend only if they are still routed to `r`; broadcast
-/// entries resend whenever `r` is still outstanding.
-fn resend_pending(conn: &Arc<ConnState>, r: usize, tag: u32) {
-    let payload = {
-        let pending = conn.pending.lock().expect("no poisoning");
-        pending.get(&tag).and_then(|entry| match &entry.kind {
-            PendingKind::Work(_) => (entry.replica == r).then(|| entry.payload.clone()),
-            PendingKind::Stats { outstanding, .. } | PendingKind::Shutdown { outstanding, .. } => {
-                outstanding.contains(&r).then(|| entry.payload.clone())
-            }
-        })
-    };
-    if let Some(payload) = payload {
-        if !send_to_replica(conn, r, tag, &payload) {
-            fail_current(conn, r);
-        }
     }
 }
 
@@ -1254,6 +780,7 @@ mod tests {
     impl LineClient {
         fn connect(addr: SocketAddr) -> LineClient {
             let stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
             LineClient {
                 reader: BufReader::new(stream.try_clone().expect("clone")),
                 stream,
@@ -1331,6 +858,52 @@ mod tests {
 
         let ack = client.roundtrip(r#"{"cmd":"shutdown"}"#);
         assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
+        handle.join().expect("no panic").expect("clean exit");
+    }
+
+    #[test]
+    fn dropped_replies_are_resent_without_marking_the_replica_dead() {
+        // The only replica drops one reply in ten, and there is no
+        // restart factory: a replica marked dead would stay dead. A
+        // dropped reply closes the link, so the shard reopens it and
+        // resends; only a failed connect or probe is a death.
+        let plan = crate::FaultPlan::parse("seed=3,drop=0.1").expect("valid plan");
+        let session = Session::builder().build().expect("session");
+        let shard = Shard::new();
+        shard
+            .spawn_replica(Server::with_chaos(
+                session,
+                crate::ServerConfig::new(),
+                plan,
+            ))
+            .expect("replica spawns");
+        let (addr, handle) = run_shard(&shard);
+        let mut client = LineClient::connect(addr);
+
+        let direct = Session::builder().build().unwrap();
+        let req = EstimateRequest::new(ProgramSpec::bench("qft_8"));
+        let cold = direct.estimate(&req).unwrap().to_json().encode();
+        let warm = direct.estimate(&req).unwrap().to_json().encode();
+        for i in 0..100 {
+            let mut unavailable = 0;
+            let reply = loop {
+                let reply = client.roundtrip(&estimate_line("qft_8"));
+                if !reply.contains("\"kind\":\"unavailable\"") {
+                    break reply;
+                }
+                unavailable += 1;
+                assert!(unavailable < 20, "request {i} stayed unavailable");
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            // A resent first request may find the profile already built.
+            assert!(
+                reply == warm || (i == 0 && reply == cold),
+                "request {i}: {reply}"
+            );
+        }
+
+        drop(client);
+        shard.shutdown();
         handle.join().expect("no panic").expect("clean exit");
     }
 

@@ -12,8 +12,8 @@ use std::thread::JoinHandle;
 
 use leqa_api::{
     json, BatchRequest, CompareRequest, ControlFrame, ErrorFrame, ErrorKind, EstimateRequest,
-    LeqaError, MapRequest, ProgramSpec, Request, Server, ServerConfig, Session, StatsResponse,
-    SweepRequest, ZonesRequest,
+    LeqaError, MapRequest, ProgramSpec, Request, Server, ServerConfig, Session, Shard,
+    StatsResponse, SweepRequest, ZonesRequest,
 };
 
 /// Binds a fresh server on a loopback port and runs its accept loop on
@@ -215,6 +215,70 @@ fn removed_mapper_knobs_are_accepted_as_defaults_and_refused_otherwise() {
         // The same server answers the next request.
         assert_eq!(server.process_line(&base).expect("reply"), expected);
     }
+}
+
+const UPGRADE: &str = r#"{"cmd":"upgrade","proto":"frame1"}"#;
+
+/// Asserts `reply` is the `invalid` refusal of `upgrade`, naming the
+/// removed protocol.
+fn assert_upgrade_refused(reply: &str) {
+    let frame = ErrorFrame::from_json(&json::parse(reply).unwrap()).expect("error frame");
+    assert_eq!(frame.error.kind(), ErrorKind::Invalid, "{reply}");
+    assert!(
+        reply.contains("frame1") && reply.contains("removed"),
+        "{reply}"
+    );
+}
+
+/// The binary frame protocol is gone: `upgrade` gets one `invalid` error
+/// frame naming it, over TCP, over stdio and through a shard, and the
+/// same connection then answers an estimate byte-identical to a direct
+/// session.
+#[test]
+fn upgrade_is_refused_naming_the_removed_protocol_on_every_transport() {
+    let estimate = Request::Estimate(EstimateRequest::new(ProgramSpec::bench("qft_8")))
+        .to_json()
+        .encode();
+    let expected = Session::builder()
+        .build()
+        .unwrap()
+        .execute(&Request::from_json(&json::parse(&estimate).unwrap()).unwrap())
+        .unwrap()
+        .to_json()
+        .encode();
+
+    // TCP.
+    let (_server, addr, handle) = start(ServerConfig::new());
+    let mut client = Client::connect(addr);
+    assert_upgrade_refused(&client.roundtrip(UPGRADE));
+    assert_eq!(client.roundtrip(&estimate), expected);
+    shutdown_via_open_client(&mut client);
+    handle.join().expect("no panic").expect("clean run");
+
+    // Stdio.
+    let server = Server::new(Session::builder().build().unwrap());
+    let mut reader = std::io::Cursor::new(format!("{UPGRADE}\n{estimate}\n").into_bytes());
+    let mut out = Vec::new();
+    server.serve_connection(&mut reader, &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    assert_upgrade_refused(lines[0]);
+    assert_eq!(lines[1], expected);
+
+    // Shard.
+    let shard = Shard::new();
+    shard
+        .spawn_replica(Server::new(Session::builder().build().unwrap()))
+        .unwrap();
+    let bound = shard.bind("127.0.0.1:0").expect("bind loopback");
+    let addr = bound.local_addr();
+    let handle = std::thread::spawn(move || bound.run());
+    let mut client = Client::connect(addr);
+    assert_upgrade_refused(&client.roundtrip(UPGRADE));
+    assert_eq!(client.roundtrip(&estimate), expected);
+    shutdown_via_open_client(&mut client);
+    handle.join().expect("no panic").expect("clean run");
 }
 
 /// Saturates the single inflight slot **deterministically**: the hog's

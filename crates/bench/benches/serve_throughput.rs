@@ -16,24 +16,14 @@
 //! own accept/connection threads); single-core runners report
 //! `SKIPPED` like the `throughput` bench. Set `SERVE_BENCH_SMOKE=1`
 //! for the reduced CI variant.
-//!
-//! A second headline (`serve/frame_pipelined`) isolates the *transport*:
-//! the same resident daemon driven by strict NDJSON request/reply
-//! alternation versus the `frame1` binary protocol with every request in
-//! flight at once. One core can only hide protocol latency (2× bar
-//! SKIPPED); on multi-core hardware, where pipelined frames fan out over
-//! the worker pool, the goal is ≥ 10×.
 
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use leqa_api::{
-    write_frame, ControlFrame, EstimateRequest, FrameDecoder, FrameProto, ProgramSpec, Request,
-    Server, Session,
-};
+use leqa_api::{EstimateRequest, ProgramSpec, Request, Server, Session};
 
 fn smoke() -> bool {
     std::env::var("SERVE_BENCH_SMOKE").is_ok_and(|v| v == "1")
@@ -104,9 +94,8 @@ fn run_through_daemon(addr: SocketAddr, lines: &[String]) -> usize {
     served
 }
 
-/// NDJSON at its semantic limit: strict request/reply alternation, one
-/// roundtrip at a time — what a client that must match replies to
-/// requests without tags is forced into.
+/// Strict request/reply alternation, one roundtrip at a time — how
+/// `leqa-client` drives the daemon.
 fn run_ndjson_serial(addr: SocketAddr, lines: &[String]) -> usize {
     let stream = TcpStream::connect(addr).expect("connect to daemon");
     stream.set_nodelay(true).expect("nodelay");
@@ -126,58 +115,6 @@ fn run_ndjson_serial(addr: SocketAddr, lines: &[String]) -> usize {
             "unexpected reply: {reply}"
         );
         served += 1;
-    }
-    served
-}
-
-/// `frame1` pipelined: upgrade the connection, fire every request as a
-/// tagged frame, drain the (possibly out-of-order) completions.
-fn run_frame_pipelined(addr: SocketAddr, lines: &[String]) -> usize {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    stream.set_nodelay(true).expect("nodelay");
-    let upgrade = ControlFrame::Upgrade(FrameProto::Frame1).to_json().encode();
-    stream.write_all(upgrade.as_bytes()).expect("send upgrade");
-    stream.write_all(b"\n").expect("send newline");
-    stream.flush().expect("flush");
-    let mut byte = [0u8; 1];
-    loop {
-        assert_eq!(stream.read(&mut byte).expect("read ack"), 1, "EOF in ack");
-        if byte[0] == b'\n' {
-            break;
-        }
-    }
-    for (i, line) in lines.iter().enumerate() {
-        write_frame(
-            &mut stream,
-            u32::try_from(i).expect("fits"),
-            line.as_bytes(),
-        )
-        .expect("send frame");
-    }
-    stream.flush().expect("flush");
-    let mut decoder = FrameDecoder::new();
-    let mut seen = vec![false; lines.len()];
-    let mut served = 0usize;
-    let mut buf = [0u8; 16 * 1024];
-    while served < lines.len() {
-        match decoder.next().expect("well-formed frame") {
-            Some((tag, payload)) => {
-                let idx = tag as usize;
-                assert!(idx < lines.len() && !seen[idx], "tag {tag} unexpected");
-                seen[idx] = true;
-                assert!(
-                    payload.starts_with(b"{\"schema_version\":1,\"op\":\"estimate\""),
-                    "unexpected reply: {}",
-                    String::from_utf8_lossy(&payload)
-                );
-                served += 1;
-            }
-            None => {
-                let n = stream.read(&mut buf).expect("read");
-                assert!(n > 0, "daemon closed early");
-                decoder.push(&buf[..n]);
-            }
-        }
     }
     served
 }
@@ -204,10 +141,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function(
         criterion::BenchmarkId::from_parameter("ndjson_serial"),
         |b| b.iter(|| run_ndjson_serial(addr, &lines)),
-    );
-    group.bench_function(
-        criterion::BenchmarkId::from_parameter("frame_pipelined"),
-        |b| b.iter(|| run_frame_pipelined(addr, &lines)),
     );
     group.finish();
 
@@ -252,41 +185,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
             let _ = writeln!(
                 file,
                 "{{\"name\":\"serve/throughput\",\"speedup\":{speedup:.4},\"daemon_rps\":{daemon_rps:.1},\"baseline_rps\":{baseline_rps:.1},\"requests\":{},\"threads\":{threads}}}",
-                lines.len(),
-            );
-        }
-    }
-
-    // Second headline: `frame1` pipelining vs the NDJSON serial daemon
-    // (same resident session both ways — this isolates the transport).
-    // On one core pipelining can only hide protocol latency, not overlap
-    // compute, so the 2x bar is SKIPPED there; with the worker pool on
-    // multi-core hardware the goal is >= 10x.
-    let serial_s = median(&|| run_ndjson_serial(addr, &lines));
-    let frame_s = median(&|| run_frame_pipelined(addr, &lines));
-    let serial_rps = n / serial_s;
-    let frame_rps = n / frame_s;
-    let frame_speedup = serial_s / frame_s;
-    let frame_verdict = if threads < 2 {
-        format!("SKIPPED ({threads} thread available, need >= 2 to overlap compute; multi-core goal >= 10x)")
-    } else if frame_speedup >= 2.0 {
-        "MET".to_string()
-    } else {
-        "NOT MET".to_string()
-    };
-    println!(
-        "serve frame pipelining: {frame_speedup:.2}x ({frame_rps:.0} req/s frame1 pipelined vs {serial_rps:.0} req/s NDJSON serial, {threads} threads) — target >= 2x: {frame_verdict}",
-    );
-
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        if let Ok(mut file) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-        {
-            let _ = writeln!(
-                file,
-                "{{\"name\":\"serve/frame_pipelined\",\"speedup\":{frame_speedup:.4},\"frame_rps\":{frame_rps:.1},\"serial_rps\":{serial_rps:.1},\"requests\":{},\"threads\":{threads}}}",
                 lines.len(),
             );
         }

@@ -6,24 +6,21 @@
 //! leqa-client [FLAGS] ADDR [LINE ...]    # send each LINE, print each reply
 //! leqa-client [FLAGS] ADDR -             # pipe stdin lines instead
 //!
-//! --frame           upgrade to the frame1 binary protocol (serial)
-//! --pipeline DEPTH  frame1 with up to DEPTH requests in flight
 //! --retries N       retry transient failures N times (default 4)
 //! --deadline-ms MS  per-attempt reply deadline (default 0 = wait forever)
 //! ```
 //!
-//! `--pipeline` implies `--frame`; replies may complete out of order on
-//! the wire but are always printed in input order.
+//! Lines go out one at a time, each waiting for its reply (strict
+//! NDJSON request/reply alternation); any other `--` flag is a usage
+//! error (exit 2).
 //!
-//! Retries cover `overloaded` and `unavailable` error frames and — in
-//! NDJSON mode, where the client can reconnect and resend the one line
-//! it is waiting on — transient transport failures too: connection
-//! resets, refused connects (a replica mid-restart), and expired
-//! `--deadline-ms` reply deadlines. Backoff is `2^attempt` milliseconds
-//! plus deterministic seeded jitter (SplitMix64 over the line index and
-//! attempt — no wall-clock state, so retried traffic is replayable).
-//! In frame mode a broken connection is fatal (the pipeline's in-flight
-//! state is lost with it), but error-frame retries still apply.
+//! Retries cover `overloaded` and `unavailable` error frames and — since
+//! the client can reconnect and resend the one line it is waiting on —
+//! transient transport failures too: connection resets, refused
+//! connects (a replica mid-restart), and expired `--deadline-ms` reply
+//! deadlines. Backoff is `2^attempt` milliseconds plus deterministic
+//! seeded jitter (SplitMix64 over the line index and attempt — no
+//! wall-clock state, so retried traffic is replayable).
 //!
 //! Exits 0 when every line got a success reply; exit code 3 (`io`) when
 //! the connection fails beyond the retry budget; otherwise the worst
@@ -36,23 +33,19 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use leqa_api::{
-    json, write_frame, ControlFrame, ErrorFrame, ErrorKind, FrameDecoder, FrameProto, UpgradeAck,
-};
+use leqa_api::{json, ErrorFrame, ErrorKind};
 use leqa_fabric::SplitMix64;
 
 struct Cli {
     addr: String,
     lines: Vec<String>,
-    frame: bool,
-    pipeline: usize,
     retries: u32,
     deadline_ms: u64,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: leqa-client [--frame] [--pipeline DEPTH] [--retries N] [--deadline-ms MS] \
+        "usage: leqa-client [--retries N] [--deadline-ms MS] \
          ADDR [LINE ...] (or `-` to read lines from stdin)"
     );
     ExitCode::from(2)
@@ -63,8 +56,6 @@ fn main() -> ExitCode {
     let mut cli = Cli {
         addr: String::new(),
         lines: Vec::new(),
-        frame: false,
-        pipeline: 1,
         retries: 4,
         deadline_ms: 0,
     };
@@ -72,17 +63,6 @@ fn main() -> ExitCode {
     let mut positionals: Vec<String> = Vec::new();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--frame" => cli.frame = true,
-            "--pipeline" => {
-                let Some(depth) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                if depth == 0 {
-                    return usage();
-                }
-                cli.frame = true;
-                cli.pipeline = depth;
-            }
             "--retries" => {
                 let Some(n) = it.next().and_then(|v| v.parse::<u32>().ok()) else {
                     return usage();
@@ -95,6 +75,7 @@ fn main() -> ExitCode {
                 };
                 cli.deadline_ms = ms;
             }
+            flag if flag.starts_with("--") => return usage(),
             _ => positionals.push(arg),
         }
     }
@@ -171,21 +152,11 @@ fn transient(e: &std::io::Error) -> bool {
 
 fn run(cli: &Cli) -> std::io::Result<ExitCode> {
     let lines = input_lines(&cli.lines)?;
-    if cli.frame {
-        run_frames(
-            &cli.addr,
-            &lines,
-            cli.pipeline,
-            cli.retries,
-            cli.deadline_ms,
-        )
-    } else {
-        run_lines(&cli.addr, &lines, cli.retries, cli.deadline_ms)
-    }
+    run_lines(&cli.addr, &lines, cli.retries, cli.deadline_ms)
 }
 
-/// NDJSON mode: strict request/reply alternation, one line at a time,
-/// reconnecting across transient transport failures.
+/// Strict request/reply alternation, one line at a time, reconnecting
+/// across transient transport failures.
 fn run_lines(
     addr: &str,
     lines: &[String],
@@ -303,140 +274,5 @@ fn attempt_line(
                     || e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    }
-}
-
-/// `frame1` mode: upgrade, then keep up to `depth` tagged requests in
-/// flight (the tag is the input-line index). Replies complete in any
-/// order; printing follows input order.
-fn run_frames(
-    addr: &str,
-    lines: &[String],
-    depth: usize,
-    retries: u32,
-    deadline_ms: u64,
-) -> std::io::Result<ExitCode> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    if deadline_ms > 0 {
-        stream.set_read_timeout(Some(Duration::from_millis(deadline_ms)))?;
-    }
-    let upgrade = ControlFrame::Upgrade(FrameProto::Frame1).to_json().encode();
-    stream.write_all(upgrade.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    let ack = read_ack_line(&mut stream)?;
-    json::parse(ack.trim())
-        .map_err(|e| std::io::Error::other(e.to_string()))
-        .and_then(|doc| {
-            UpgradeAck::from_json(&doc).map_err(|e| std::io::Error::other(e.to_string()))
-        })?;
-
-    let total = lines.len();
-    let mut decoder = FrameDecoder::new();
-    let mut results: Vec<Option<String>> = vec![None; total];
-    let mut attempts: Vec<u32> = vec![0; total];
-    let mut next_send = 0usize;
-    let mut next_print = 0usize;
-    let mut inflight = 0usize;
-    let mut done = 0usize;
-    let mut worst = 0u8;
-
-    while done < total {
-        while inflight < depth && next_send < total {
-            send(&mut stream, next_send, lines)?;
-            next_send += 1;
-            inflight += 1;
-        }
-        stream.flush()?;
-        let (tag, payload) = read_frame(&mut stream, &mut decoder)?;
-        let idx = tag as usize;
-        if idx >= total || results[idx].is_some() {
-            return Err(std::io::Error::other(format!(
-                "server replied with unknown tag {tag}"
-            )));
-        }
-        let reply = String::from_utf8_lossy(&payload).into_owned();
-        if let Some((_, true)) = reply_error(&reply) {
-            if attempts[idx] < retries {
-                std::thread::sleep(backoff(idx, attempts[idx]));
-                attempts[idx] += 1;
-                send(&mut stream, idx, lines)?;
-                stream.flush()?;
-                continue;
-            }
-        }
-        results[idx] = Some(reply);
-        inflight -= 1;
-        done += 1;
-        while next_print < total {
-            let Some(reply) = &results[next_print] else {
-                break;
-            };
-            println!("{reply}");
-            if let Some((exit, _)) = reply_error(reply) {
-                worst = worst.max(exit);
-            }
-            next_print += 1;
-        }
-    }
-    Ok(ExitCode::from(worst))
-}
-
-fn send(stream: &mut TcpStream, idx: usize, lines: &[String]) -> std::io::Result<()> {
-    write_frame(
-        stream,
-        u32::try_from(idx).expect("line count fits u32"),
-        lines[idx].as_bytes(),
-    )
-    .map_err(|e| std::io::Error::other(e.to_string()))
-}
-
-/// Reads the NDJSON upgrade-ack line byte by byte; a buffered reader
-/// here could swallow the start of the frame stream.
-fn read_ack_line(stream: &mut TcpStream) -> std::io::Result<String> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte)? {
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection during the upgrade handshake",
-                ))
-            }
-            _ => {
-                if byte[0] == b'\n' {
-                    return String::from_utf8(line).map_err(std::io::Error::other);
-                }
-                line.push(byte[0]);
-            }
-        }
-    }
-}
-
-/// Blocks until one complete frame is decoded. With `--deadline-ms` the
-/// socket read timeout turns a stalled reply into a `TimedOut` error
-/// (fatal here: a frame pipeline cannot resynchronize mid-stream).
-fn read_frame(
-    stream: &mut TcpStream,
-    decoder: &mut FrameDecoder,
-) -> std::io::Result<(u32, Vec<u8>)> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if let Some(frame) = decoder
-            .next()
-            .map_err(|fe| std::io::Error::other(fe.error.to_string()))?
-        {
-            return Ok(frame);
-        }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-stream",
-            ));
-        }
-        decoder.push(&buf[..n]);
     }
 }

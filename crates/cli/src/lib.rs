@@ -80,13 +80,11 @@ lets the OS pick — the bound address is announced as `listening on
 ADDR`). Caps are optional (0 = unlimited); over-cap work is refused
 with an `overloaded` error frame (exit/error code 9). Operators steer
 the daemon with `{\"cmd\":\"stats\"}` and `{\"cmd\":\"shutdown\"}`
-lines; the full wire reference is SERVER.md. A TCP connection can
-upgrade to the `frame1` binary protocol (length-prefixed tagged frames,
-pipelined out-of-order completion) with `{\"cmd\":\"upgrade\",
-\"proto\":\"frame1\"}`. `leqa-client ADDR [LINE...]` is a minimal TCP
-client for smoke tests (`--pipeline DEPTH` drives the frame protocol).
+lines; the full wire reference is SERVER.md. `leqa-client ADDR
+[LINE...]` is a minimal TCP client for smoke tests: one line at a time,
+each waiting for its reply.
 
-`shard` serves the same wire protocols from one listener backed by N
+`shard` serves the same wire protocol from one listener backed by N
 daemon replicas (spawned in-process with `--replicas N`, and/or
 already-running daemons via `--attach`). Work routes by a content hash
 of the program for cache affinity; `stats` merges across replicas;
