@@ -168,12 +168,6 @@ impl LeqaError {
         &self.message
     }
 
-    /// The context frames, outermost first.
-    #[must_use]
-    pub fn context_frames(&self) -> &[String] {
-        &self.context
-    }
-
     /// The stable process exit code for this kind.
     ///
     /// | kind | code |

@@ -9,8 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::dto::{
-    CompareResponse, EstimateResponse, MapResponse, ProgramSummary, Response, SweepResponse,
-    ZonesResponse,
+    CompareResponse, EstimateResponse, MapResponse, ProgramSummary, SweepResponse, ZonesResponse,
 };
 use crate::FabricSpec;
 
@@ -296,16 +295,4 @@ pub fn experiment_summary_text(summary: &crate::ExperimentSummary) -> String {
         c.loads, c.cache_hits, c.cache_misses, c.profile_builds
     );
     out
-}
-
-/// Renders any response in its command's text layout.
-#[must_use]
-pub fn response_text(resp: &Response) -> String {
-    match resp {
-        Response::Estimate(r) => estimate_text(r),
-        Response::Sweep(r) => sweep_text(r),
-        Response::Zones(r) => zones_text(r),
-        Response::Compare(r) => compare_text(r),
-        Response::Map(r) => map_text(r),
-    }
 }

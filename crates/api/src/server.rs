@@ -516,13 +516,6 @@ impl Server {
         }
     }
 
-    /// The fault injector, when this server was built with
-    /// [`with_chaos`](Self::with_chaos).
-    #[must_use]
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.inner.faults.as_ref()
-    }
-
     /// The shared session (e.g. to pre-warm the program cache before
     /// accepting traffic).
     #[must_use]

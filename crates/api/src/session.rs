@@ -7,6 +7,12 @@
 //! half of Algorithm 1 — is computed exactly once no matter how many
 //! requests name it, through whichever [`ProgramSpec`] source.
 //!
+//! A cache entry holds what Algorithm 1 reads: the canonical source, the
+//! lowered op list (one shared `Arc<[FtOp]>`) and the lazy profile.
+//! `estimate` sweeps the op list and never builds a dependency graph; the
+//! [`Qodg`] is built on first use by an endpoint that needs it (`compare`,
+//! `map`, `sweep`, `dot`, experiment cells) and shares the op array.
+//!
 //! In front of the program cache sits a *resolve memo* that maps the spec
 //! a request carries — a workload name, or the raw circuit text inline or
 //! read from a file — straight to its resident program. A repeat load
@@ -47,8 +53,10 @@ use std::sync::{Arc, OnceLock, RwLock};
 use leqa::exec::parallel_map;
 use leqa::report::zone_report_from_iig;
 use leqa::sweep::sweep_profile_squares;
-use leqa::{Estimator, EstimatorOptions, ProfileData, ProgramProfile, StreamingProfileBuilder};
-use leqa_circuit::{decompose::lower_to_ft, parser, Circuit, Qodg};
+use leqa::{
+    Estimate, Estimator, EstimatorOptions, ProfileData, ProgramProfile, StreamingProfileBuilder,
+};
+use leqa_circuit::{decompose::lower_to_ft, parser, Circuit, FtOp, Qodg};
 use leqa_fabric::{FabricDims, PhysicalParams};
 use leqa_workloads::shor::ShorStream;
 use qspr::{Mapper, MapperConfig};
@@ -63,17 +71,24 @@ use crate::store::ProfileStore;
 use crate::BatchResponse;
 
 /// The cached, spec-independent part of a loaded program: canonical
-/// source, lowered QODG, and the lazily-computed [`ProfileData`]. Shared
-/// (via `Arc`) by every request whose content hashes to it.
+/// source, lowered op list, and the lazily built [`ProfileData`] and
+/// [`Qodg`]. Shared (via `Arc`) by every request whose content hashes to
+/// it. `OnceLock` guarantees each lazy part is built exactly once even
+/// when threads race on the same program.
 #[derive(Debug)]
 struct ProgramData {
     source: String,
-    qodg: Qodg,
+    num_qubits: u32,
+    /// The lowered program, shared with `qodg` once that is built.
+    ops: Arc<[FtOp]>,
     /// Computed on first use by an endpoint that needs it (estimate,
     /// sweep, zones, compare, `dot --graph iig`) — `map` and `gen` never
-    /// pay the IIG/zone passes. `OnceLock` guarantees exactly one
-    /// initialization even when threads race on the same program.
+    /// pay the IIG/zone passes.
     profile: OnceLock<ProfileData>,
+    /// Built on first use by an endpoint that needs the dependency graph
+    /// (compare, map, sweep, `dot`, experiment cells) — `estimate` and
+    /// `zones` never pay for it.
+    qodg: OnceLock<Qodg>,
 }
 
 /// A generator-backed program on the streaming path: the session never
@@ -89,7 +104,8 @@ struct StreamedProgram {
 
 /// A loaded program as one request sees it: the label the *request's*
 /// spec implies plus the shared, content-addressed program data (source,
-/// QODG, lazy profile). Cheap to move around (a string and two `Arc`s).
+/// op list, lazy profile and QODG). Cheap to move around (a string and a
+/// few `Arc`s).
 #[derive(Debug)]
 pub struct ProgramHandle {
     label: String,
@@ -113,10 +129,14 @@ impl ProgramHandle {
         &self.shared.source
     }
 
-    /// The lowered program.
+    /// The lowered program's dependency graph, built on first use and
+    /// cached for every later request naming the same content.
     #[must_use]
     pub fn qodg(&self) -> &Qodg {
-        &self.shared.qodg
+        let shared = &self.shared;
+        shared
+            .qodg
+            .get_or_init(|| Qodg::from_ops(shared.num_qubits, Arc::clone(&shared.ops)))
     }
 
     /// The program profile data, computed on first use and cached for
@@ -129,28 +149,12 @@ impl ProgramHandle {
     /// (`store_misses`) — never a crash, never wrong bytes.
     #[must_use]
     pub fn profile_data(&self) -> &ProfileData {
-        self.shared.profile.get_or_init(|| {
-            if let Some(store) = &self.store {
-                match store.load(&self.shared.source) {
-                    Ok(data) => {
-                        self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-                        return data;
-                    }
-                    Err(_) => {
-                        // Missing, corrupt or stale: recompute below and
-                        // overwrite the snapshot.
-                        self.counters.store_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            self.counters.profile_builds.fetch_add(1, Ordering::Relaxed);
-            let data = ProfileData::new(&self.shared.qodg);
-            if let Some(store) = &self.store {
-                // Best-effort: a failed save costs the next restart a
-                // rebuild, never this request.
-                let _ = store.save(&self.shared.source, &data);
-            }
-            data
+        let shared = &self.shared;
+        shared.profile.get_or_init(|| {
+            let ops = shared.ops.iter().copied();
+            let store = self.store.as_deref();
+            self.counters
+                .build_profile(store, &shared.source, shared.num_qubits, ops)
         })
     }
 
@@ -159,8 +163,8 @@ impl ProgramHandle {
     pub fn summary(&self) -> ProgramSummary {
         ProgramSummary {
             label: self.label.clone(),
-            qubits: u64::from(self.shared.qodg.num_qubits()),
-            ops: self.shared.qodg.op_count() as u64,
+            qubits: u64::from(self.shared.num_qubits),
+            ops: self.shared.ops.len() as u64,
         }
     }
 }
@@ -222,14 +226,43 @@ impl Counters {
     // `hits + misses <= loads`, never a sum exceeding the loads it was
     // read against.
 
-    fn record_hit(&self) {
+    /// Counts one load, as a hit when the program was `cached`.
+    fn record(&self, cached: bool) {
         self.loads.fetch_add(1, Ordering::Release);
-        self.hits.fetch_add(1, Ordering::Release);
+        let half = if cached { &self.hits } else { &self.misses };
+        half.fetch_add(1, Ordering::Release);
     }
 
-    fn record_miss(&self) {
-        self.loads.fetch_add(1, Ordering::Release);
-        self.misses.fetch_add(1, Ordering::Release);
+    /// A program's profile, from the snapshot store or built from `ops`
+    /// (the discipline [`ProgramHandle::profile_data`] documents).
+    fn build_profile(
+        &self,
+        store: Option<&ProfileStore>,
+        source: &str,
+        num_qubits: u32,
+        ops: impl Iterator<Item = FtOp>,
+    ) -> ProfileData {
+        if let Some(store) = store {
+            if let Ok(data) = store.load(source) {
+                self.store_hits.fetch_add(1, Ordering::Relaxed);
+                return data;
+            }
+            self.store_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        self.profile_builds.fetch_add(1, Ordering::Relaxed);
+        let mut builder = StreamingProfileBuilder::new(num_qubits);
+        for op in ops {
+            builder.push(op);
+        }
+        let data = builder
+            .finish()
+            .expect("lowered and generated ops are well-formed");
+        if let Some(store) = store {
+            // Best-effort: a failed save costs the next restart a
+            // rebuild, never this request.
+            let _ = store.save(source, &data);
+        }
+        data
     }
 }
 
@@ -664,8 +697,10 @@ impl Session {
             .map_err(|e| e.context(format!("lowering `{}`", resolved.label)))?;
         Ok(ProgramData {
             source: resolved.source.clone(),
-            qodg: Qodg::from_ft_circuit(&ft),
+            num_qubits: ft.num_qubits(),
+            ops: ft.ops().into(),
             profile: OnceLock::new(),
+            qodg: OnceLock::new(),
         })
     }
 
@@ -684,7 +719,7 @@ impl Session {
         let raw = RawSpec::read(spec)?;
         let memo_key = raw.memo_key();
         if let Some((shared, label)) = self.memo.recall(memo_key, &raw, spec, &self.cache) {
-            self.counters.record_hit();
+            self.counters.record(true);
             return Ok((self.handle(label, shared), true));
         }
         let resolved = resolve_raw(spec, &raw)?;
@@ -711,22 +746,27 @@ impl Session {
     /// The cache half of a load: fetch-or-lower an already-resolved
     /// program, with hit/miss accounting.
     fn load_resolved(&self, resolved: ResolvedSpec) -> Result<(ProgramHandle, bool), LeqaError> {
+        let (shared, cached) = self.fetch_or_lower(&resolved)?;
+        self.counters.record(cached);
+        Ok((self.handle(resolved.label, shared), cached))
+    }
+
+    /// The resident program for `resolved`, lowering and inserting it on
+    /// a miss, with whether it was already resident; counts nothing.
+    fn fetch_or_lower(
+        &self,
+        resolved: &ResolvedSpec,
+    ) -> Result<(Arc<ProgramData>, bool), LeqaError> {
         if let Some(shared) = self.cache.lookup(resolved.key, &resolved.source) {
-            self.counters.record_hit();
-            return Ok((self.handle(resolved.label, shared), true));
+            return Ok((shared, true));
         }
         // Miss: lower outside any lock (the expensive part), then
         // insert-or-adopt under the shard write lock. A concurrent load
         // of the same program may win the race; the loser adopts the
         // winner's entry so profiles stay exactly-once.
-        let candidate = Arc::new(self.lower(&resolved)?);
+        let candidate = Arc::new(self.lower(resolved)?);
         let (shared, fresh) = self.cache.insert(resolved.key, candidate);
-        if fresh {
-            self.counters.record_miss();
-        } else {
-            self.counters.record_hit();
-        }
-        Ok((self.handle(resolved.label, shared), !fresh))
+        Ok((shared, !fresh))
     }
 
     /// Resolves a per-request fabric override against the session fabric.
@@ -759,7 +799,7 @@ impl Session {
             }
         }
         let (handle, cached) = self.load_tracking(&req.program)?;
-        self.run_estimate(req, &handle, cached)
+        self.run_estimate(self.resolve_fabric(req.fabric)?, &handle, cached)
     }
 
     /// Estimates one program across candidate square fabrics, through the
@@ -871,13 +911,7 @@ impl Session {
         // before this batch.
         type Warmed = Result<(Arc<ProgramData>, bool), LeqaError>;
         let warmed: Vec<Warmed> = parallel_map(&warm_order, |&i| {
-            let r = resolved[i].as_ref().expect("warm_order holds Ok slots");
-            if let Some(shared) = self.cache.lookup(r.key, &r.source) {
-                return Ok((shared, true));
-            }
-            let candidate = Arc::new(self.lower(r)?);
-            let (shared, fresh) = self.cache.insert(r.key, candidate);
-            Ok((shared, !fresh))
+            self.fetch_or_lower(resolved[i].as_ref().expect("warm_order holds Ok slots"))
         });
         let warmed_by_key: HashMap<u64, &Warmed> = warm_order
             .iter()
@@ -953,11 +987,7 @@ impl Session {
                         let Ok((shared, _)) = warmed_by_key[&r.key] else {
                             unreachable!("plan says warmed")
                         };
-                        if cached {
-                            self.counters.record_hit();
-                        } else {
-                            self.counters.record_miss();
-                        }
+                        self.counters.record(cached);
                         Ok((i, self.handle(r.label, Arc::clone(shared)), cached))
                     }
                 }
@@ -984,7 +1014,10 @@ impl Session {
         cached: bool,
     ) -> Result<Response, LeqaError> {
         match req {
-            Request::Estimate(r) => self.run_estimate(r, handle, cached).map(Response::Estimate),
+            Request::Estimate(r) => self
+                .resolve_fabric(r.fabric)
+                .and_then(|dims| self.run_estimate(dims, handle, cached))
+                .map(Response::Estimate),
             Request::Sweep(r) => self.run_sweep(r, handle).map(Response::Sweep),
             Request::Zones(r) => self.run_zones(r, handle).map(Response::Zones),
             Request::Compare(r) => self.run_compare(r, handle).map(Response::Compare),
@@ -1006,115 +1039,66 @@ impl Session {
     ) -> Result<EstimateResponse, LeqaError> {
         let dims = self.resolve_fabric(req.fabric)?;
         let key = stream.name();
-        let (entry, cached) = {
-            let resident = self
-                .streams
-                .read()
-                .expect("no poisoning")
-                .get(&key)
-                .map(Arc::clone);
-            match resident {
-                Some(entry) => {
-                    self.counters.record_hit();
-                    (entry, true)
+        let resident = self
+            .streams
+            .read()
+            .expect("no poisoning")
+            .get(&key)
+            .cloned();
+        let (entry, cached) = match resident {
+            Some(entry) => (entry, true),
+            // Another thread may have won the race; adopt its entry so the
+            // profile stays exactly-once.
+            None => match self.streams.write().expect("no poisoning").entry(key) {
+                Entry::Occupied(existing) => (Arc::clone(existing.get()), true),
+                Entry::Vacant(slot) => {
+                    let profile = OnceLock::new();
+                    let entry = slot.insert(Arc::new(StreamedProgram { stream, profile }));
+                    (Arc::clone(entry), false)
                 }
-                None => match self.streams.write().expect("no poisoning").entry(key) {
-                    Entry::Occupied(existing) => {
-                        // Another thread won the race; adopt its entry so
-                        // the profile stays exactly-once.
-                        self.counters.record_hit();
-                        (Arc::clone(existing.get()), true)
-                    }
-                    Entry::Vacant(slot) => {
-                        let entry = Arc::new(StreamedProgram {
-                            stream,
-                            profile: OnceLock::new(),
-                        });
-                        slot.insert(Arc::clone(&entry));
-                        self.counters.record_miss();
-                        (entry, false)
-                    }
-                },
-            }
+            },
         };
+        self.counters.record(cached);
 
         let source = format!("stream:{}", entry.stream.name());
         let data = entry.profile.get_or_init(|| {
-            if let Some(store) = &self.store {
-                match store.load(&source) {
-                    Ok(data) => {
-                        self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-                        return data;
-                    }
-                    Err(_) => {
-                        self.counters.store_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            self.counters.profile_builds.fetch_add(1, Ordering::Relaxed);
-            let mut builder = StreamingProfileBuilder::new(entry.stream.num_qubits());
-            for op in entry.stream.ops() {
-                builder.push(op);
-            }
-            let data = builder
-                .finish()
-                .expect("generated shor streams are well-formed");
-            if let Some(store) = &self.store {
-                let _ = store.save(&source, &data);
-            }
-            data
+            let (store, stream) = (self.store.as_deref(), &entry.stream);
+            self.counters
+                .build_profile(store, &source, stream.num_qubits(), stream.ops())
         });
 
-        let estimator = Estimator::with_options(dims, self.params.clone(), self.options);
-        let estimate = estimator.estimate_stream_with_data(
+        let estimate = self.estimator(dims).estimate_stream_with_data(
             entry.stream.num_qubits(),
             data,
             entry.stream.ops(),
         )?;
-        Ok(EstimateResponse {
-            program: ProgramSummary {
-                label: label.to_string(),
-                qubits: u64::from(entry.stream.num_qubits()),
-                ops: entry.stream.ft_op_count(),
-            },
-            fabric: FabricSpec::new(dims.width(), dims.height()),
-            latency_us: estimate.latency.as_f64(),
-            l_cnot_avg_us: estimate.l_cnot_avg.as_f64(),
-            l_one_qubit_avg_us: estimate.l_one_qubit_avg.as_f64(),
-            d_uncong_us: estimate.d_uncong.as_f64(),
-            avg_zone_area: estimate.avg_zone_area,
-            zone_side: estimate.zone_side,
-            esq: estimate.esq,
-            critical_cnots: estimate.critical.cnot_count,
-            critical_one_qubit: estimate.critical.one_qubit_counts.iter().sum(),
-            profile_cached: cached,
-        })
+        let program = ProgramSummary {
+            label: label.to_string(),
+            qubits: u64::from(entry.stream.num_qubits()),
+            ops: entry.stream.ft_op_count(),
+        };
+        Ok(estimate_response(program, dims, estimate, cached))
     }
 
+    /// Algorithm 1 on a loaded program, from its op list and profile: the
+    /// estimate body `estimate` and `compare` share.
     fn run_estimate(
         &self,
-        req: &EstimateRequest,
+        dims: FabricDims,
         handle: &ProgramHandle,
         cached: bool,
     ) -> Result<EstimateResponse, LeqaError> {
-        let dims = self.resolve_fabric(req.fabric)?;
-        let estimator = Estimator::with_options(dims, self.params.clone(), self.options);
-        let profile = ProgramProfile::from_data(handle.qodg(), handle.profile_data());
-        let estimate = estimator.estimate_with_profile(&profile)?;
-        Ok(EstimateResponse {
-            program: handle.summary(),
-            fabric: FabricSpec::new(dims.width(), dims.height()),
-            latency_us: estimate.latency.as_f64(),
-            l_cnot_avg_us: estimate.l_cnot_avg.as_f64(),
-            l_one_qubit_avg_us: estimate.l_one_qubit_avg.as_f64(),
-            d_uncong_us: estimate.d_uncong.as_f64(),
-            avg_zone_area: estimate.avg_zone_area,
-            zone_side: estimate.zone_side,
-            esq: estimate.esq,
-            critical_cnots: estimate.critical.cnot_count,
-            critical_one_qubit: estimate.critical.one_qubit_counts.iter().sum(),
-            profile_cached: cached,
-        })
+        let shared = &handle.shared;
+        let estimate = self.estimator(dims).estimate_ops(
+            shared.num_qubits,
+            handle.profile_data(),
+            &shared.ops,
+        )?;
+        Ok(estimate_response(handle.summary(), dims, estimate, cached))
+    }
+
+    fn estimator(&self, dims: FabricDims) -> Estimator {
+        Estimator::with_options(dims, self.params.clone(), self.options)
     }
 
     fn run_sweep(
@@ -1203,12 +1187,8 @@ impl Session {
     ) -> Result<CompareResponse, LeqaError> {
         let dims = self.resolve_fabric(req.fabric)?;
         let actual = Mapper::new(dims, self.params.clone()).map(handle.qodg())?;
-        let profile = ProgramProfile::from_data(handle.qodg(), handle.profile_data());
-        let estimate = Estimator::with_options(dims, self.params.clone(), self.options)
-            .estimate_with_profile(&profile)?;
-
         let actual_us = actual.latency.as_f64();
-        let estimated_us = estimate.latency.as_f64();
+        let estimated_us = self.run_estimate(dims, handle, true)?.latency_us;
         Ok(CompareResponse {
             program: handle.summary(),
             fabric: FabricSpec::new(dims.width(), dims.height()),
@@ -1246,6 +1226,30 @@ impl Session {
             max_channel_load: result.stats.max_channel_load,
             trace,
         })
+    }
+}
+
+/// Assembles the estimate reply: the one place an [`Estimate`] becomes an
+/// [`EstimateResponse`], for materialized and streamed programs alike.
+fn estimate_response(
+    program: ProgramSummary,
+    dims: FabricDims,
+    estimate: Estimate,
+    cached: bool,
+) -> EstimateResponse {
+    EstimateResponse {
+        program,
+        fabric: FabricSpec::new(dims.width(), dims.height()),
+        latency_us: estimate.latency.as_f64(),
+        l_cnot_avg_us: estimate.l_cnot_avg.as_f64(),
+        l_one_qubit_avg_us: estimate.l_one_qubit_avg.as_f64(),
+        d_uncong_us: estimate.d_uncong.as_f64(),
+        avg_zone_area: estimate.avg_zone_area,
+        zone_side: estimate.zone_side,
+        esq: estimate.esq,
+        critical_cnots: estimate.critical.cnot_count,
+        critical_one_qubit: estimate.critical.one_qubit_counts.iter().sum(),
+        profile_cached: cached,
     }
 }
 
@@ -1422,6 +1426,28 @@ mod tests {
         s.load(&ProgramSpec::bench("qft_4")).unwrap();
         let err = s.load(&ProgramSpec::source("qft_4")).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Parse);
+    }
+
+    #[test]
+    fn the_qodg_is_built_once_and_only_for_the_mapper_side() {
+        let s = Session::builder().build().unwrap();
+        let spec = ProgramSpec::bench("8bitadder");
+        s.estimate(&EstimateRequest::new(spec.clone())).unwrap();
+        s.zones(&ZonesRequest::new(spec.clone())).unwrap();
+        let handle = s.load(&spec).unwrap();
+        assert!(handle.shared.qodg.get().is_none());
+
+        // Three mapper-side endpoints race to build it; one graph results.
+        std::thread::scope(|scope| {
+            let (s, spec) = (&s, &spec);
+            scope.spawn(move || s.compare(&CompareRequest::new(spec.clone())).unwrap());
+            scope.spawn(move || s.map(&MapRequest::new(spec.clone())).unwrap());
+            scope.spawn(move || s.sweep(&SweepRequest::new(spec.clone(), [40])).unwrap());
+        });
+        let built = handle.shared.qodg.get().expect("built by the mapper side");
+        assert!(std::ptr::eq(built, s.load(&spec).unwrap().qodg()));
+        // The graph shares the cached op array rather than copying it.
+        assert!(std::ptr::eq(built.ops(), &*handle.shared.ops));
     }
 
     #[test]

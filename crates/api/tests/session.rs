@@ -37,6 +37,104 @@ fn estimate_matches_the_engine_bit_for_bit() {
     assert!(!resp.profile_cached);
 }
 
+/// Asserts every field of a session reply equals the estimator run on the
+/// program's freshly built QODG.
+fn assert_reply_matches_the_qodg_estimator(
+    resp: &leqa_api::EstimateResponse,
+    circuit: &leqa_circuit::Circuit,
+    dims: leqa_fabric::FabricDims,
+) {
+    use leqa::Estimator;
+    use leqa_circuit::{decompose::lower_to_ft, Qodg};
+    use leqa_fabric::PhysicalParams;
+
+    let label = &resp.program.label;
+    let ft = lower_to_ft(circuit).unwrap();
+    let direct = Estimator::new(dims, PhysicalParams::dac13())
+        .estimate(&Qodg::from_ft_circuit(&ft))
+        .unwrap();
+    let bits = |x: f64| x.to_bits();
+    assert_eq!(resp.program.qubits, u64::from(ft.num_qubits()), "{label}");
+    assert_eq!(resp.program.ops, ft.ops().len() as u64, "{label}");
+    assert_eq!(
+        (resp.fabric.width, resp.fabric.height),
+        (dims.width(), dims.height()),
+        "{label}"
+    );
+    assert_eq!(
+        bits(resp.latency_us),
+        bits(direct.latency.as_f64()),
+        "{label}"
+    );
+    assert_eq!(
+        bits(resp.l_cnot_avg_us),
+        bits(direct.l_cnot_avg.as_f64()),
+        "{label}"
+    );
+    assert_eq!(
+        bits(resp.l_one_qubit_avg_us),
+        bits(direct.l_one_qubit_avg.as_f64()),
+        "{label}"
+    );
+    assert_eq!(
+        bits(resp.d_uncong_us),
+        bits(direct.d_uncong.as_f64()),
+        "{label}"
+    );
+    assert_eq!(
+        bits(resp.avg_zone_area),
+        bits(direct.avg_zone_area),
+        "{label}"
+    );
+    assert_eq!(resp.zone_side, direct.zone_side, "{label}");
+    assert_eq!(
+        resp.esq.iter().map(|&x| bits(x)).collect::<Vec<_>>(),
+        direct.esq.iter().map(|&x| bits(x)).collect::<Vec<_>>(),
+        "{label}"
+    );
+    assert_eq!(resp.critical_cnots, direct.critical.cnot_count, "{label}");
+    assert_eq!(
+        resp.critical_one_qubit,
+        direct.critical.one_qubit_counts.iter().sum::<u64>(),
+        "{label}"
+    );
+}
+
+#[test]
+fn op_list_estimates_match_the_qodg_estimator_on_every_program() {
+    use leqa_fabric::FabricDims;
+
+    let s = session();
+    let dac13 = FabricDims::dac13();
+    let mut cases: Vec<(ProgramSpec, leqa_circuit::Circuit, FabricDims)> = leqa_workloads::SUITE
+        .iter()
+        .map(|b| (ProgramSpec::bench(b.name), b.circuit(), dac13))
+        .collect();
+    for (name, side) in [("shor_32_188", 140), ("qft_64", 60)] {
+        let circuit = leqa_workloads::circuit_by_name(name).unwrap();
+        let dims = FabricDims::new(side, side).unwrap();
+        cases.push((ProgramSpec::bench(name), circuit, dims));
+    }
+    let text = ".qubits 4\ntoffoli 0 1 2\ncnot 2 3\nh 3\ncnot 3 0\ncnot 3 0\n";
+    let inline = leqa_circuit::parser::parse(text).unwrap();
+    cases.push((ProgramSpec::source(text), inline, dac13));
+
+    for (spec, circuit, dims) in &cases {
+        let req = EstimateRequest::new(spec.clone()).with_fabric(dims.width(), dims.height());
+        let resp = s.estimate(&req).unwrap();
+        assert_reply_matches_the_qodg_estimator(&resp, circuit, *dims);
+        // The compare endpoint reports the very same estimate.
+        if resp.program.ops < 10_000 {
+            let compare =
+                CompareRequest::new(spec.clone()).with_fabric(dims.width(), dims.height());
+            assert_eq!(
+                s.compare(&compare).unwrap().estimated_us.to_bits(),
+                resp.latency_us.to_bits()
+            );
+        }
+    }
+}
+
 #[test]
 fn repeat_requests_hit_the_profile_cache() {
     let s = session();

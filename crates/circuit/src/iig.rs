@@ -55,31 +55,26 @@ pub struct Iig {
 impl Iig {
     /// Builds the IIG by a single traversal of the lowered circuit.
     pub fn from_ft_circuit(circuit: &FtCircuit) -> Self {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for op in circuit.ops() {
-            if let FtOp::Cnot { control, target } = *op {
-                pairs.push(normalize(control, target));
-            }
-        }
-        Iig::from_pairs(circuit.num_qubits(), pairs)
+        Iig::from_ops(circuit.num_qubits(), circuit.ops())
     }
 
-    /// Builds the IIG by traversing a QODG (Algorithm 1, line 1:
-    /// `O(|V| + |E|)` plus the pair sort).
+    /// Builds the IIG by traversing a QODG's op nodes (Algorithm 1,
+    /// line 1: `O(|V| + |E|)` plus the pair sort).
     pub fn from_qodg(qodg: &Qodg) -> Self {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (_, op) in qodg.op_nodes() {
-            if let FtOp::Cnot { control, target } = op {
-                pairs.push(normalize(control, target));
-            }
-        }
-        Iig::from_pairs(qodg.num_qubits(), pairs)
+        Iig::from_ops(qodg.num_qubits(), qodg.ops())
     }
 
-    /// Builds the CSR arenas from the raw interaction pair stream by
+    /// Builds the CSR arenas from the op list's interaction pairs by
     /// sort + run-length dedup (two passes over the sorted pairs, no
     /// per-node allocation).
-    fn from_pairs(num_qubits: u32, mut pairs: Vec<(u32, u32)>) -> Self {
+    fn from_ops(num_qubits: u32, ops: &[FtOp]) -> Self {
+        let mut pairs: Vec<(u32, u32)> = ops
+            .iter()
+            .filter_map(|op| match *op {
+                FtOp::Cnot { control, target } => Some(normalize(control, target)),
+                FtOp::OneQubit { .. } => None,
+            })
+            .collect();
         pairs.sort_unstable();
         let mut edges: Vec<(u32, u32, u64)> = Vec::new();
         let mut i = 0;

@@ -61,6 +61,6 @@ pub use circuit::{Circuit, CircuitStats, FtCircuit};
 pub use error::CircuitError;
 pub use gate::{FtOp, Gate, QubitId};
 pub use iig::Iig;
-pub use qodg::{CriticalPath, CriticalPathScratch, NodeId, Qodg, QodgNode};
+pub use qodg::{ops_critical_path, CriticalPath, CriticalPathScratch, NodeId, Qodg, QodgNode};
 
 pub use leqa_fabric::OneQubitKind;

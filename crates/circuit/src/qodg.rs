@@ -9,20 +9,23 @@
 //! The QODG is a DAG whose node order is already topological (ops are added
 //! in program order), which makes the longest-path (critical path)
 //! computation a single linear sweep — the `O(|V| + |E|)` step of the
-//! paper's Algorithm 1, line 19.
+//! paper's Algorithm 1, line 19, which [`ops_critical_path`] runs over the
+//! op list alone: the estimator never builds a QODG; the mapper does.
 //!
 //! # Representation
 //!
+//! Op nodes are a shared `Arc<[FtOp]>` (a cached op list is not copied).
 //! Predecessor lists live in compressed sparse row (CSR) form: a flat
 //! `pred_edges` arena indexed by a `pred_offsets` table, appended to in one
 //! pass during construction — no per-node `Vec` allocations. The
-//! critical-path sweep can likewise reuse a caller-owned
-//! [`CriticalPathScratch`] so repeated passes (fabric sweeps) allocate
-//! nothing but the result path.
+//! critical-path sweep can reuse a caller-owned [`CriticalPathScratch`] so
+//! repeated passes (fabric sweeps) allocate nothing but the result path.
+
+use std::sync::Arc;
 
 use leqa_fabric::Micros;
 
-use crate::{FtCircuit, FtOp, QubitId};
+use crate::{FtCircuit, FtOp};
 
 /// Index of a node in a [`Qodg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,6 +43,8 @@ pub enum QodgNode {
 }
 
 /// The quantum operation dependency graph.
+///
+/// Node `0` is `start`, node `i + 1` is op `i`, and the last node is `end`.
 ///
 /// # Examples
 ///
@@ -64,10 +69,10 @@ pub enum QodgNode {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Qodg {
-    nodes: Vec<QodgNode>,
+    /// The op nodes in program (topological) order.
+    ops: Arc<[FtOp]>,
     /// CSR offsets into `pred_edges`; node `i`'s predecessors are
-    /// `pred_edges[pred_offsets[i]..pred_offsets[i + 1]]`. Node order is
-    /// topological by construction.
+    /// `pred_edges[pred_offsets[i]..pred_offsets[i + 1]]`.
     pred_offsets: Vec<u32>,
     /// Flat predecessor arena, in the order edges were discovered.
     pred_edges: Vec<NodeId>,
@@ -77,50 +82,48 @@ pub struct Qodg {
 impl Qodg {
     /// Builds the QODG of a lowered circuit (Algorithm 1's input).
     pub fn from_ft_circuit(circuit: &FtCircuit) -> Self {
-        Qodg::from_gates(circuit.num_qubits(), circuit.ops().iter().copied())
+        Qodg::from_ops(circuit.num_qubits(), circuit.ops().into())
     }
 
-    /// Builds the QODG from a raw op stream over `num_qubits` wires —
-    /// the same graph [`from_ft_circuit`](Self::from_ft_circuit) builds,
-    /// without requiring the ops to be materialized in an [`FtCircuit`]
-    /// first (generator-backed workloads hand their lowered stream
-    /// straight in).
-    pub fn from_gates(num_qubits: u32, ops: impl IntoIterator<Item = FtOp>) -> Self {
-        let ops = ops.into_iter();
-        let n_ops = ops.size_hint().0;
-        let mut nodes = Vec::with_capacity(n_ops + 2);
-        let mut pred_offsets: Vec<u32> = Vec::with_capacity(n_ops + 3);
-        // Each op contributes at most two merged predecessor edges.
-        let mut pred_edges: Vec<NodeId> = Vec::with_capacity(2 * n_ops + 2);
-
-        nodes.push(QodgNode::Start);
-        pred_offsets.push(0);
-        pred_offsets.push(0); // start has no predecessors
+    /// Builds the QODG over a shared op list on `num_qubits` wires, holding
+    /// `ops` itself rather than a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op touches a wire at or beyond `num_qubits`.
+    pub fn from_ops(num_qubits: u32, ops: Arc<[FtOp]>) -> Self {
         let start = NodeId(0);
+        let mut pred_offsets: Vec<u32> = Vec::with_capacity(ops.len() + 3);
+        // Each op contributes at most two merged predecessor edges.
+        let mut pred_edges: Vec<NodeId> = Vec::with_capacity(2 * ops.len() + 2);
+        pred_offsets.extend([0, 0]); // start has no predecessors
 
-        let mut last: Vec<Option<NodeId>> = vec![None; num_qubits as usize];
-
-        for op in ops {
-            let id = NodeId(nodes.len());
-            nodes.push(QodgNode::Op(op));
+        // The last node on each wire; `start` while the wire is untouched.
+        let mut last: Vec<NodeId> = vec![start; num_qubits as usize];
+        for (i, op) in ops.iter().enumerate() {
+            let id = NodeId(i + 1);
             let first = pred_edges.len();
             for q in op.qubits() {
-                let pred = last[q.index()].unwrap_or(start);
+                let pred = last[q.index()];
                 // Merge parallel edges (the paper combines duplicate edges).
                 if !pred_edges[first..].contains(&pred) {
                     pred_edges.push(pred);
                 }
-                last[q.index()] = Some(id);
+                last[q.index()] = id;
             }
             pred_offsets.push(pred_edges.len() as u32);
         }
 
-        let end = NodeId(nodes.len());
-        nodes.push(QodgNode::End);
+        // `end` is fed by each wire's last node, in wire order. A node is
+        // last on at most its two CNOT wires: keep it on the lower one.
         let first = pred_edges.len();
-        for l in last.iter().flatten() {
-            if !pred_edges[first..].contains(l) {
-                pred_edges.push(*l);
+        for (w, &l) in last.iter().enumerate().filter(|&(_, &l)| l != start) {
+            let lower = match ops[l.0 - 1] {
+                FtOp::Cnot { control, target } => control.index().min(target.index()),
+                FtOp::OneQubit { .. } => w,
+            };
+            if lower == w || last[lower] != l {
+                pred_edges.push(l);
             }
         }
         if pred_edges.len() == first {
@@ -129,11 +132,10 @@ impl Qodg {
             pred_edges.push(start);
         }
         pred_offsets.push(pred_edges.len() as u32);
-        debug_assert_eq!(end.0 + 1, nodes.len());
-        debug_assert_eq!(pred_offsets.len(), nodes.len() + 1);
+        debug_assert_eq!(pred_offsets.len(), ops.len() + 3);
 
         Qodg {
-            nodes,
+            ops,
             pred_offsets,
             pred_edges,
             num_qubits,
@@ -143,13 +145,19 @@ impl Qodg {
     /// Total node count `|V|`, including `start` and `end`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.ops.len() + 2
     }
 
     /// Number of operation nodes (excludes `start`/`end`).
     #[inline]
     pub fn op_count(&self) -> usize {
-        self.nodes.len() - 2
+        self.ops.len()
+    }
+
+    /// The op nodes' payloads in program order (node `i + 1` is op `i`).
+    #[inline]
+    pub fn ops(&self) -> &[FtOp] {
+        &self.ops
     }
 
     /// Total edge count `|E|` after duplicate-edge merging.
@@ -173,7 +181,7 @@ impl Qodg {
     /// The end node.
     #[inline]
     pub fn end(&self) -> NodeId {
-        NodeId(self.nodes.len() - 1)
+        NodeId(self.ops.len() + 1)
     }
 
     /// The payload of a node.
@@ -183,7 +191,11 @@ impl Qodg {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn node(&self, id: NodeId) -> QodgNode {
-        self.nodes[id.0]
+        match id.0 {
+            0 => QodgNode::Start,
+            i if i == self.ops.len() + 1 => QodgNode::End,
+            i => QodgNode::Op(self.ops[i - 1]),
+        }
     }
 
     /// Predecessors of a node.
@@ -200,10 +212,10 @@ impl Qodg {
 
     /// Iterates over operation nodes in topological (program) order.
     pub fn op_nodes(&self) -> impl Iterator<Item = (NodeId, FtOp)> + '_ {
-        self.nodes.iter().enumerate().filter_map(|(i, n)| match n {
-            QodgNode::Op(op) => Some((NodeId(i), *op)),
-            _ => None,
-        })
+        self.ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| (NodeId(i + 1), *op))
     }
 
     /// Longest path from `start` to `end` where each node costs
@@ -223,72 +235,83 @@ impl Qodg {
         delay: impl Fn(&QodgNode) -> Micros,
         scratch: &mut CriticalPathScratch,
     ) -> CriticalPath {
-        let n = self.nodes.len();
-        scratch.dist.clear();
-        scratch.dist.resize(n, Micros::ZERO);
-        scratch.argmax.clear();
-        scratch.argmax.resize(n, None);
-        let dist = &mut scratch.dist;
-        let argmax = &mut scratch.argmax;
-
-        for i in 0..n {
-            let node = &self.nodes[i];
-            let mut best = Micros::ZERO;
-            let mut best_pred = None;
-            for &p in self.preds(NodeId(i)) {
-                if best_pred.is_none() || dist[p.0] > best {
-                    best = dist[p.0];
-                    best_pred = Some(p);
-                }
-            }
-            let own = match node {
-                QodgNode::Start | QodgNode::End => Micros::ZERO,
-                QodgNode::Op(_) => delay(node),
-            };
-            dist[i] = best + own;
-            argmax[i] = best_pred;
-        }
-
-        // Walk back from `end`, collecting the census.
-        let mut cnot_count = 0u64;
-        let mut one_qubit_counts = [0u64; 8];
-        let mut path = Vec::new();
-        let mut cur = Some(self.end());
-        while let Some(id) = cur {
-            path.push(id);
-            if let QodgNode::Op(op) = self.nodes[id.0] {
-                match op {
-                    FtOp::Cnot { .. } => cnot_count += 1,
-                    FtOp::OneQubit { kind, .. } => one_qubit_counts[kind.index()] += 1,
-                }
-            }
-            cur = argmax[id.0];
-        }
-        path.reverse();
-
-        CriticalPath {
-            length: dist[n - 1],
-            cnot_count,
-            one_qubit_counts,
-            path,
-        }
-    }
-
-    /// The set of wires an op node touches (empty for `start`/`end`).
-    pub fn node_qubits(&self, id: NodeId) -> Vec<QubitId> {
-        match self.nodes[id.0] {
-            QodgNode::Op(op) => op.qubits().collect(),
-            _ => Vec::new(),
-        }
+        let delay = |op: &FtOp| delay(&QodgNode::Op(*op));
+        ops_critical_path(self.num_qubits, &self.ops, delay, scratch)
     }
 }
 
-/// Reusable buffers for [`Qodg::critical_path_reuse`]. One instance can
-/// serve any number of passes over any number of graphs.
+/// Algorithm 1 line 19 without the graph: the QODG's longest path, ties
+/// included, where node `i + 1` is `ops[i]` and costs `delay`. One sweep
+/// keeps a per-wire `(distance, last op)` frontier and a per-op
+/// predecessor: an op takes its first operand's entry, a later one only if
+/// strictly greater (the QODG's edge order); `end` likewise over touched
+/// wires in order. Walking back from `end` yields the path and census.
+///
+/// # Panics
+///
+/// Panics if an op touches a wire at or beyond `num_qubits`, or on
+/// `u32::MAX` ops or more.
+pub fn ops_critical_path(
+    num_qubits: u32,
+    ops: &[FtOp],
+    delay: impl Fn(&FtOp) -> Micros,
+    scratch: &mut CriticalPathScratch,
+) -> CriticalPath {
+    assert!(ops.len() < u32::MAX as usize, "node ids must fit in u32");
+    // First candidate wins; a later one replaces it only when strictly greater.
+    let longer = |best: Option<(Micros, u32)>, cand: (Micros, u32)| match best {
+        Some(best) if cand.0 > best.0 => Some(cand),
+        None => Some(cand),
+        kept => kept,
+    };
+    let CriticalPathScratch { frontier, argmax } = scratch;
+    frontier.clear();
+    frontier.resize(num_qubits as usize, (Micros::ZERO, 0));
+    argmax.clear();
+    argmax.reserve(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        let (dist, pred) = op
+            .qubits()
+            .map(|q| frontier[q.index()])
+            .fold(None, longer)
+            .expect("every FtOp has at least one operand");
+        argmax.push(pred);
+        let next = (dist + delay(op), i as u32 + 1);
+        for q in op.qubits() {
+            frontier[q.index()] = next;
+        }
+    }
+    let touched = frontier.iter().copied().filter(|&(_, last)| last != 0);
+    let (length, mut cur) = touched.fold(None, longer).unwrap_or((Micros::ZERO, 0));
+
+    let mut cp = CriticalPath {
+        length,
+        cnot_count: 0,
+        one_qubit_counts: [0; 8],
+        path: vec![NodeId(ops.len() + 1)],
+    };
+    while cur != 0 {
+        let i = cur as usize - 1;
+        cp.path.push(NodeId(i + 1));
+        match ops[i] {
+            FtOp::Cnot { .. } => cp.cnot_count += 1,
+            FtOp::OneQubit { kind, .. } => cp.one_qubit_counts[kind.index()] += 1,
+        }
+        cur = argmax[i];
+    }
+    cp.path.push(NodeId(0));
+    cp.path.reverse();
+    cp
+}
+
+/// Reusable buffers for [`ops_critical_path`]. One instance can serve any
+/// number of passes over any number of programs.
 #[derive(Debug, Default)]
 pub struct CriticalPathScratch {
-    dist: Vec<Micros>,
-    argmax: Vec<Option<NodeId>>,
+    /// Per wire: the distance of its last op and that op's node id.
+    frontier: Vec<(Micros, u32)>,
+    /// Per op: the node id of its chosen predecessor.
+    argmax: Vec<u32>,
 }
 
 impl CriticalPathScratch {
@@ -322,6 +345,7 @@ impl CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QubitId;
     use leqa_fabric::OneQubitKind;
 
     fn q(i: u32) -> QubitId {
@@ -454,17 +478,13 @@ mod tests {
     }
 
     #[test]
-    fn from_gates_matches_from_ft_circuit() {
-        for ft in [chain(), FtCircuit::new(2), {
-            let mut ft = FtCircuit::new(2);
-            ft.push_cnot(q(0), q(1)).unwrap();
-            ft.push_cnot(q(0), q(1)).unwrap();
-            ft
-        }] {
-            let materialized = Qodg::from_ft_circuit(&ft);
-            let streamed = Qodg::from_gates(ft.num_qubits(), ft.ops().iter().copied());
-            assert_eq!(materialized, streamed);
-        }
+    fn from_ops_shares_the_op_list() {
+        let ft = chain();
+        let ops: Arc<[FtOp]> = ft.ops().into();
+        let shared = Qodg::from_ops(ft.num_qubits(), Arc::clone(&ops));
+        assert_eq!(shared, Qodg::from_ft_circuit(&ft));
+        assert!(std::ptr::eq(shared.ops(), &*ops));
+        assert_eq!(shared.node(NodeId(2)), QodgNode::Op(ops[1]));
     }
 
     #[test]
@@ -505,7 +525,7 @@ impl Qodg {
 #[cfg(test)]
 mod depth_tests {
     use super::*;
-    use crate::FtCircuit;
+    use crate::{FtCircuit, QubitId};
     use leqa_fabric::OneQubitKind;
 
     fn q(i: u32) -> QubitId {

@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use leqa_circuit::FtOp;
-use leqa_circuit::{CriticalPath, CriticalPathScratch, Qodg, QodgNode};
+use leqa_circuit::{ops_critical_path, CriticalPath, CriticalPathScratch, FtOp, Qodg};
 use leqa_fabric::{FabricDims, FabricMap, GateDelays, Micros, OneQubitKind, PhysicalParams};
 
 pub use crate::coverage::ZoneRounding;
@@ -145,22 +144,30 @@ impl Estimator {
         &self,
         profile: &ProgramProfile<'_>,
     ) -> Result<Estimate, EstimateError> {
-        let correction = self.map_correction()?;
-        let quantities = self.routing_quantities_corrected(
-            profile.qubit_count(),
-            profile.data(),
-            correction.as_ref(),
-        )?;
-        let params = correction.as_ref().map_or(&self.params, |c| &c.params);
-        let mut scratch = CriticalPathScratch::new();
-        let critical = routing_aware_critical_path(
-            params,
-            &self.options,
-            profile.qodg(),
-            quantities.l_cnot_avg,
-            &mut scratch,
-        );
-        Ok(assemble_estimate(params, quantities, critical))
+        let qodg = profile.qodg();
+        self.estimate_ops(qodg.num_qubits(), profile.data(), qodg.ops())
+    }
+
+    /// [`estimate_with_profile`](Self::estimate_with_profile) from a
+    /// program's op list and [`ProfileData`](crate::ProfileData), with no
+    /// QODG: line 19 sweeps the op list ([`ops_critical_path`]).
+    /// Bit-identical to [`estimate`](Self::estimate), path included.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`estimate`](Self::estimate).
+    #[must_use = "the estimate (or its error) is the entire point of the call"]
+    pub fn estimate_ops(
+        &self,
+        num_qubits: u32,
+        data: &crate::ProfileData,
+        ops: &[FtOp],
+    ) -> Result<Estimate, EstimateError> {
+        self.estimate_with_data(num_qubits, data, |delays| {
+            let delay = |op: &FtOp| delays.of(op);
+            let scratch = &mut CriticalPathScratch::new();
+            Ok(ops_critical_path(num_qubits, ops, delay, scratch))
+        })
     }
 
     /// Runs Algorithm 1 directly from a gate stream, never materializing
@@ -217,12 +224,25 @@ impl Estimator {
         data: &crate::ProfileData,
         ops: impl Iterator<Item = FtOp>,
     ) -> Result<Estimate, EstimateError> {
+        self.estimate_with_data(num_qubits, data, |delays| {
+            crate::stream::streaming_critical_path(num_qubits, ops, delays)
+        })
+    }
+
+    /// Lines 1–18 from a program's profile, line 19 by `critical_path`
+    /// under the resulting per-op delays, then Eq. 1.
+    fn estimate_with_data(
+        &self,
+        num_qubits: u32,
+        data: &crate::ProfileData,
+        critical_path: impl FnOnce(&OpDelays) -> Result<CriticalPath, EstimateError>,
+    ) -> Result<Estimate, EstimateError> {
         let correction = self.map_correction()?;
         let quantities =
             self.routing_quantities_corrected(num_qubits as u64, data, correction.as_ref())?;
         let params = correction.as_ref().map_or(&self.params, |c| &c.params);
         let delays = OpDelays::new(params, &self.options, quantities.l_cnot_avg);
-        let critical = crate::stream::streaming_critical_path(num_qubits, ops, &delays)?;
+        let critical = critical_path(&delays)?;
         Ok(assemble_estimate(params, quantities, critical))
     }
 
@@ -381,18 +401,12 @@ pub(crate) fn routing_aware_critical_path(
     scratch: &mut CriticalPathScratch,
 ) -> CriticalPath {
     let delays = OpDelays::new(params, options, l_cnot_avg);
-    qodg.critical_path_reuse(
-        |node| match node {
-            QodgNode::Op(op) => delays.of(op),
-            _ => Micros::ZERO,
-        },
-        scratch,
-    )
+    ops_critical_path(qodg.num_qubits(), qodg.ops(), |op| delays.of(op), scratch)
 }
 
 /// The per-op delay model of Algorithm 1 line 19 — gate time plus (per the
-/// options) the average routing latency — shared bit-for-bit by the QODG
-/// walk ([`routing_aware_critical_path`]) and the streaming pass
+/// options) the average routing latency — shared bit-for-bit by the op-list
+/// sweep ([`routing_aware_critical_path`]) and the streaming pass
 /// ([`crate::stream::streaming_critical_path`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OpDelays {

@@ -137,16 +137,6 @@ impl<'a> ProgramProfile<'a> {
         }
     }
 
-    /// Like [`new`](Self::new) with a caller-built IIG (for callers that
-    /// already have one).
-    #[must_use]
-    pub fn with_iig(qodg: &'a Qodg, iig: Iig) -> Self {
-        ProgramProfile {
-            qodg,
-            data: Cow::Owned(ProfileData::with_iig(iig)),
-        }
-    }
-
     /// Re-attaches cached [`ProfileData`] to the program it was computed
     /// from. O(1) — no traversal happens; this is how the `leqa-api`
     /// session serves repeat requests without rebuilding the profile.

@@ -27,7 +27,7 @@
 //! - `streaming_critical_path` (crate-internal) replays the stream once more with only a
 //!   per-wire `(distance, census)` frontier, reproducing the exact
 //!   first-predecessor-wins / strictly-greater-replaces tie-breaking of
-//!   the QODG walk, so the resulting latency census is byte-identical.
+//!   the op-list sweep, so the resulting latency census is byte-identical.
 //!
 //! The [`Estimator`](crate::Estimator) front door is
 //! [`estimate_stream`](crate::Estimator::estimate_stream); `leqa-api`
@@ -379,7 +379,7 @@ impl Census {
 }
 
 /// Algorithm 1 line 19 over a stream: the routing-aware critical path in
-/// `O(qubits)` memory, reproducing the QODG walk's tie-breaking exactly.
+/// `O(qubits)` memory, reproducing the op-list sweep's tie-breaking exactly.
 ///
 /// Per wire the frontier holds the distance and op-type census of the
 /// longest path ending in the last op that touched it (`None` while the
@@ -387,9 +387,9 @@ impl Census {
 /// each op, candidates are scanned in operand order (control, then
 /// target) — the same order the QODG records predecessor edges — taking
 /// the first and replacing only on *strictly greater* distance, exactly
-/// like `Qodg::critical_path_reuse`; merged parallel edges there dedup to
-/// one predecessor, which cannot change this selection because duplicate
-/// candidates carry identical distances.
+/// like [`leqa_circuit::ops_critical_path`]. That sweep keeps a per-op
+/// back-pointer to recover the path; this one carries the census along
+/// the frontier instead, so its memory stays `O(qubits)`.
 ///
 /// The returned [`CriticalPath`] matches the materialized one in
 /// `length`, `cnot_count` and `one_qubit_counts`; `path` is empty (the

@@ -37,7 +37,9 @@
 use leqa_circuit::{CriticalPath, CriticalPathScratch, Qodg, QodgNode};
 use leqa_fabric::{FabricDims, Micros, PhysicalParams};
 
-use crate::estimator::{assemble_estimate, routing_aware_critical_path, RoutingQuantities};
+use crate::estimator::{
+    assemble_estimate, routing_aware_critical_path, OpDelays, RoutingQuantities,
+};
 use crate::{Estimate, Estimator, EstimatorOptions, ProgramProfile};
 
 /// Outcome of one fabric-size candidate.
@@ -316,9 +318,9 @@ impl CensusCache {
             // a few ULPs means the full pass's winner is
             // rounding-determined there, so run the full pass.
             for mid in lo + 1..hi {
-                let x = Micros::new(self.xs[mid]);
-                let length = accumulate_along(params, qodg, &self.templates[tpl_lo], x);
-                if self.rival_near(params, qodg, tpl_lo, length, x) {
+                let delays = OpDelays::new(params, options, Micros::new(self.xs[mid]));
+                let length = accumulate_along(qodg, &self.templates[tpl_lo], &delays);
+                if self.rival_near(qodg, tpl_lo, length, &delays) {
                     self.full_pass(params, options, qodg, mid, scratch);
                 } else {
                     self.resolved[mid] = Some((tpl_lo, length));
@@ -333,22 +335,15 @@ impl CensusCache {
     }
 
     /// Whether any template other than `chosen` reaches (or ULP-grazes)
-    /// `length` at `x`. Cheap in the common case: sweeps usually discover
-    /// a single path regime, and the loop skips `chosen` itself.
-    fn rival_near(
-        &self,
-        params: &PhysicalParams,
-        qodg: &Qodg,
-        chosen: usize,
-        length: Micros,
-        x: Micros,
-    ) -> bool {
+    /// `length` under `delays`. Cheap in the common case: sweeps usually
+    /// discover a single path regime, and the loop skips `chosen` itself.
+    fn rival_near(&self, qodg: &Qodg, chosen: usize, length: Micros, delays: &OpDelays) -> bool {
         const REL_MARGIN: f64 = 1e-12;
         self.templates.iter().enumerate().any(|(t, template)| {
             if t == chosen {
                 return false;
             }
-            let rival = accumulate_along(params, qodg, template, x).as_f64();
+            let rival = accumulate_along(qodg, template, delays).as_f64();
             rival >= length.as_f64() * (1.0 - REL_MARGIN)
         })
     }
@@ -375,25 +370,11 @@ impl CensusCache {
 /// added in first-to-last order — exactly the float additions the full
 /// pass performs along its argmax chain, so the length is bit-identical to
 /// what the pass would return for this path.
-fn accumulate_along(
-    params: &PhysicalParams,
-    qodg: &Qodg,
-    template: &CriticalPath,
-    l_cnot_avg: Micros,
-) -> Micros {
-    let l_one_qubit_avg = params.one_qubit_routing_latency();
-    let delays = *params.gate_delays();
-
+fn accumulate_along(qodg: &Qodg, template: &CriticalPath, delays: &OpDelays) -> Micros {
     let mut length = Micros::ZERO;
     for &id in &template.path {
         if let QodgNode::Op(op) = qodg.node(id) {
-            let own = match op {
-                leqa_circuit::FtOp::Cnot { .. } => delays.cnot() + l_cnot_avg,
-                leqa_circuit::FtOp::OneQubit { kind, .. } => {
-                    delays.one_qubit(kind) + l_one_qubit_avg
-                }
-            };
-            length += own;
+            length += delays.of(&op);
         }
     }
     length

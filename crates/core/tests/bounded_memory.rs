@@ -84,19 +84,17 @@ fn shor_1024_streams_under_a_tenth_of_the_materialized_floor() {
     assert!(ops > 10_000_000, "acceptance demands cryptographic scale");
 
     // An *analytic lower bound* on the materialized pipeline's live heap,
-    // from the closed-form op count. During `estimate(&qodg)` the QODG
-    // holds, per op node: the node itself, a CSR offset, and at least one
-    // predecessor edge (`Qodg::from_gates` pushes one for the first
-    // operand wire unconditionally); the critical-path pass adds a
-    // distance and an argmax slot per node. All five arrays are live
-    // simultaneously. This ignores the op list, the IIG pair buffer and
-    // every second predecessor edge, so the real peak is higher still.
+    // from the closed-form op count. `Qodg::from_ft_circuit(&ft)` copies
+    // the lowered op list into the graph's shared op array while `ft`
+    // still holds it, and adds per op a CSR offset and at least one
+    // predecessor edge (one is pushed for the first operand wire
+    // unconditionally). All four arrays are live at once. This ignores
+    // the critical-path pass, the IIG pair buffer and every second
+    // predecessor edge, so the real peak is higher still.
     let materialized_floor = ops as usize
-        * (std::mem::size_of::<leqa_circuit::QodgNode>()
+        * (2 * std::mem::size_of::<leqa_circuit::FtOp>()
             + std::mem::size_of::<u32>()
-            + std::mem::size_of::<leqa_circuit::NodeId>()
-            + std::mem::size_of::<leqa_fabric::Micros>()
-            + std::mem::size_of::<Option<leqa_circuit::NodeId>>());
+            + std::mem::size_of::<leqa_circuit::NodeId>());
     assert!(
         BUDGET * 10 < materialized_floor,
         "budget {BUDGET} is not a 10x improvement over the {materialized_floor}-byte floor"
