@@ -413,8 +413,12 @@ impl Parser<'_> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four ASCII hex digits: no sign, no space, no other byte.
+        let mut cp = 0;
+        for &d in digits {
+            let digit = char::from(d).to_digit(16);
+            cp = cp * 16 + digit.ok_or_else(|| self.err("invalid \\u escape"))?;
+        }
         self.pos += 4;
         Ok(cp)
     }
@@ -495,6 +499,25 @@ mod tests {
         assert_eq!(parse(r#""é""#).unwrap(), Json::str("é"));
         assert_eq!(parse(r#""😀""#).unwrap(), Json::str("😀"));
         assert!(parse(r#""\ud83d""#).is_err()); // lone high surrogate
+        assert_eq!(parse(r#""\u00E9\u00e9""#).unwrap(), Json::str("éé"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let invalid_at = |offset| JsonError {
+            message: "invalid \\u escape".into(),
+            offset,
+        };
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            "\"\\u00\u{e9}1\"",
+        ] {
+            assert_eq!(parse(bad), Err(invalid_at(3)), "{bad}");
+        }
+        // The low half of a surrogate pair is held to the same rule.
+        assert_eq!(parse(r#""\ud83d\u+e00""#), Err(invalid_at(9)));
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //! so a profile stays computed once even across a
 //! [`clear_cache`](Session::clear_cache).
 //!
+//! Behind the program cache, each entry keeps an *estimate memo*: the
+//! replies already assembled for it, keyed by the resolved fabric. Under
+//! the session's fixed parameters and options an estimate is a pure
+//! function of (program, fabric), so a repeat estimate skips Algorithm 1
+//! and rebuilds only its per-request fields (the `program` summary and
+//! `profile_cached`). The memo holds a few fabrics per program, never
+//! holds an error, and is dropped with its entry.
+//!
 //! # Concurrency model
 //!
 //! `Session` is `Send + Sync` and every endpoint takes `&self`, so one
@@ -89,6 +97,8 @@ struct ProgramData {
     /// (compare, map, sweep, `dot`, experiment cells) — `estimate` and
     /// `zones` never pay for it.
     qodg: OnceLock<Qodg>,
+    /// The estimate replies already assembled for this program, by fabric.
+    estimates: EstimateMemo,
 }
 
 /// A generator-backed program on the streaming path: the session never
@@ -100,6 +110,59 @@ struct ProgramData {
 struct StreamedProgram {
     stream: ShorStream,
     profile: OnceLock<ProfileData>,
+    /// The estimate replies already assembled for this stream, by fabric.
+    estimates: EstimateMemo,
+}
+
+/// How many fabrics one program's [`EstimateMemo`] holds; a new fabric
+/// beyond that replaces the oldest.
+const ESTIMATE_MEMO_CAPACITY: usize = 8;
+
+/// The estimate replies already assembled for one program, keyed by the
+/// resolved fabric (see the module docs). Each stored reply keeps the
+/// `program` and `profile_cached` of the request that computed it; a
+/// recall replaces both with the asking request's own.
+#[derive(Debug, Default)]
+struct EstimateMemo {
+    replies: RwLock<Vec<(FabricDims, EstimateResponse)>>,
+}
+
+impl EstimateMemo {
+    /// The reply for `dims`, recalled or assembled from `compute`.
+    /// `compute` runs outside the lock and its reply is kept only if no
+    /// racing request stored one first (racing computations agree bit for
+    /// bit); an error is returned and never kept.
+    fn reply(
+        &self,
+        dims: FabricDims,
+        program: ProgramSummary,
+        cached: bool,
+        compute: impl FnOnce() -> Result<Estimate, LeqaError>,
+    ) -> Result<EstimateResponse, LeqaError> {
+        let recalled = self
+            .replies
+            .read()
+            .expect("no poisoning")
+            .iter()
+            .find(|(kept, _)| *kept == dims)
+            .map(|(_, reply)| reply.clone());
+        if let Some(kept) = recalled {
+            return Ok(EstimateResponse {
+                program,
+                profile_cached: cached,
+                ..kept
+            });
+        }
+        let reply = estimate_response(program, dims, compute()?, cached);
+        let mut replies = self.replies.write().expect("no poisoning");
+        if !replies.iter().any(|(kept, _)| *kept == dims) {
+            if replies.len() == ESTIMATE_MEMO_CAPACITY {
+                replies.remove(0);
+            }
+            replies.push((dims, reply.clone()));
+        }
+        Ok(reply)
+    }
 }
 
 /// A loaded program as one request sees it: the label the *request's*
@@ -372,11 +435,11 @@ impl RawSpec<'_> {
         })
     }
 
-    /// The resolve-memo key: FNV-1a of the name or the raw text.
+    /// The resolve-memo key: [`word_hash`] of the name or the raw text.
     fn memo_key(&self) -> u64 {
         match self {
-            RawSpec::Name(name) => fnv1a(name.as_bytes()),
-            RawSpec::Text(text) => fnv1a(text.as_bytes()),
+            RawSpec::Name(name) => word_hash(name.as_bytes()),
+            RawSpec::Text(text) => word_hash(text.as_bytes()),
         }
     }
 }
@@ -701,6 +764,7 @@ impl Session {
             ops: ft.ops().into(),
             profile: OnceLock::new(),
             qodg: OnceLock::new(),
+            estimates: EstimateMemo::default(),
         })
     }
 
@@ -1052,36 +1116,38 @@ impl Session {
             None => match self.streams.write().expect("no poisoning").entry(key) {
                 Entry::Occupied(existing) => (Arc::clone(existing.get()), true),
                 Entry::Vacant(slot) => {
-                    let profile = OnceLock::new();
-                    let entry = slot.insert(Arc::new(StreamedProgram { stream, profile }));
+                    let entry = slot.insert(Arc::new(StreamedProgram {
+                        stream,
+                        profile: OnceLock::new(),
+                        estimates: EstimateMemo::default(),
+                    }));
                     (Arc::clone(entry), false)
                 }
             },
         };
         self.counters.record(cached);
 
-        let source = format!("stream:{}", entry.stream.name());
-        let data = entry.profile.get_or_init(|| {
-            let (store, stream) = (self.store.as_deref(), &entry.stream);
-            self.counters
-                .build_profile(store, &source, stream.num_qubits(), stream.ops())
-        });
-
-        let estimate = self.estimator(dims).estimate_stream_with_data(
-            entry.stream.num_qubits(),
-            data,
-            entry.stream.ops(),
-        )?;
+        let stream = &entry.stream;
         let program = ProgramSummary {
             label: label.to_string(),
-            qubits: u64::from(entry.stream.num_qubits()),
-            ops: entry.stream.ft_op_count(),
+            qubits: u64::from(stream.num_qubits()),
+            ops: stream.ft_op_count(),
         };
-        Ok(estimate_response(program, dims, estimate, cached))
+        entry.estimates.reply(dims, program, cached, || {
+            let source = format!("stream:{}", stream.name());
+            let data = entry.profile.get_or_init(|| {
+                let store = self.store.as_deref();
+                self.counters
+                    .build_profile(store, &source, stream.num_qubits(), stream.ops())
+            });
+            let estimator = self.estimator(dims);
+            Ok(estimator.estimate_stream_with_data(stream.num_qubits(), data, stream.ops())?)
+        })
     }
 
-    /// Algorithm 1 on a loaded program, from its op list and profile: the
-    /// estimate body `estimate` and `compare` share.
+    /// Algorithm 1 on a loaded program, from its op list and profile, or
+    /// its reply recalled from the program's estimate memo: the estimate
+    /// body `estimate`, `batch` and `compare` share.
     fn run_estimate(
         &self,
         dims: FabricDims,
@@ -1089,12 +1155,12 @@ impl Session {
         cached: bool,
     ) -> Result<EstimateResponse, LeqaError> {
         let shared = &handle.shared;
-        let estimate = self.estimator(dims).estimate_ops(
-            shared.num_qubits,
-            handle.profile_data(),
-            &shared.ops,
-        )?;
-        Ok(estimate_response(handle.summary(), dims, estimate, cached))
+        shared.estimates.reply(dims, handle.summary(), cached, || {
+            let data = handle.profile_data();
+            Ok(self
+                .estimator(dims)
+                .estimate_ops(shared.num_qubits, data, &shared.ops)?)
+        })
     }
 
     fn estimator(&self, dims: FabricDims) -> Estimator {
@@ -1293,6 +1359,25 @@ fn resolve_raw(spec: &ProgramSpec, raw: &RawSpec) -> Result<ResolvedSpec, LeqaEr
     })
 }
 
+/// The resolve-memo hash: eight bytes per step, where [`fnv1a`] takes one.
+/// Memo keys live only in memory and every hit is verified byte for byte,
+/// so this hash need not be stable; the program-cache key and the snapshot
+/// file names, which persist on disk, keep FNV-1a.
+fn word_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for word in &mut words {
+        h = mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = mix(h, u64::from_le_bytes(tail));
+    // The shard is `key mod 16`: fold the well-mixed high half down.
+    h ^ (h >> 32)
+}
+
 /// FNV-1a over the canonical circuit bytes: stable, dependency-free, and
 /// plenty for a cache key (lookups verify the source on hit, so a
 /// collision costs a rebuild, never a wrong answer). The same hash picks
@@ -1410,7 +1495,7 @@ mod tests {
         let spaced = "# comment\n.name w\n.qubits 3\ntoffoli 0 1 2\ncnot 0 1\nh 2\ntdg 1\n";
         for (text, copied) in [(canonical, false), (spaced, true)] {
             s.load(&ProgramSpec::source(text)).unwrap();
-            let key = fnv1a(text.as_bytes());
+            let key = word_hash(text.as_bytes());
             let shard = s.memo.shard(key).read().unwrap();
             let entry = &shard[&key];
             assert_eq!(matches!(entry.raw, MemoRaw::Text(_)), copied, "{text:?}");
@@ -1448,6 +1533,82 @@ mod tests {
         assert!(std::ptr::eq(built, s.load(&spec).unwrap().qodg()));
         // The graph shares the cached op array rather than copying it.
         assert!(std::ptr::eq(built.ops(), &*handle.shared.ops));
+    }
+
+    /// The fabrics a program's estimate memo holds, oldest first.
+    fn memo_fabrics(handle: &ProgramHandle) -> Vec<FabricDims> {
+        let replies = handle.shared.estimates.replies.read().unwrap();
+        replies.iter().map(|(dims, _)| *dims).collect()
+    }
+
+    #[test]
+    fn estimate_memo_is_bounded_and_never_holds_an_error() {
+        let s = Session::builder().build().unwrap();
+        let spec = ProgramSpec::bench("qft_8");
+        let handle = s.load(&spec).unwrap();
+        let on = |side: u32| EstimateRequest::new(spec.clone()).with_fabric(side, side);
+
+        for _ in 0..2 {
+            let err = s.estimate(&on(2)).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Estimate);
+        }
+        assert!(memo_fabrics(&handle).is_empty());
+
+        // One fabric more than the memo holds: the oldest gives way.
+        let sides: Vec<u32> = (20..).take(ESTIMATE_MEMO_CAPACITY + 1).collect();
+        for &side in &sides {
+            s.estimate(&on(side)).unwrap();
+        }
+        let square = |side: u32| FabricDims::new(side, side).unwrap();
+        let resident: Vec<FabricDims> = sides[1..].iter().map(|&side| square(side)).collect();
+        assert_eq!(memo_fabrics(&handle), resident);
+        // A recall neither grows nor reorders the memo; `compare` reads it.
+        s.estimate(&on(sides[3])).unwrap();
+        s.compare(&CompareRequest::new(spec.clone()).with_fabric(sides[4], sides[4]))
+            .unwrap();
+        assert_eq!(memo_fabrics(&handle), resident);
+
+        // The memo is dropped with its program.
+        s.clear_cache();
+        let reloaded = s.load(&spec).unwrap();
+        assert!(memo_fabrics(&reloaded).is_empty());
+        s.estimate(&EstimateRequest::new(spec.clone())).unwrap();
+        assert_eq!(memo_fabrics(&reloaded), [s.fabric()]);
+        assert_eq!(memo_fabrics(&handle), resident);
+    }
+
+    #[test]
+    fn streamed_programs_keep_an_estimate_memo_too() {
+        let s = Session::builder().streaming_threshold(0).build().unwrap();
+        let req = EstimateRequest::new(ProgramSpec::bench("shor_8_2"));
+        s.estimate(&req).unwrap();
+        s.estimate(&req.clone().with_fabric(2, 2)).unwrap_err();
+        s.estimate(&req).unwrap();
+        let streams = s.streams.read().unwrap();
+        let [entry] = streams.values().collect::<Vec<_>>()[..] else {
+            panic!("one stream entry")
+        };
+        let replies = entry.estimates.replies.read().unwrap();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].0, s.fabric());
+    }
+
+    #[test]
+    fn word_hash_sees_every_byte_and_the_length() {
+        let text = b"abcdefghijklmnopq";
+        let base = word_hash(text);
+        for i in 0..text.len() {
+            let mut flipped = *text;
+            flipped[i] ^= 1;
+            assert_ne!(word_hash(&flipped), base, "byte {i}");
+        }
+        assert_ne!(word_hash(b"a"), word_hash(b"a\0"));
+        assert_ne!(word_hash(b""), word_hash(b"\0"));
+        assert_eq!(word_hash(text), base);
+        let shards: std::collections::HashSet<u64> = (0u64..64)
+            .map(|k| word_hash(format!("qft_{k}").as_bytes()) % SHARD_COUNT as u64)
+            .collect();
+        assert!(shards.len() > 4, "memo keys should spread across shards");
     }
 
     #[test]

@@ -275,3 +275,69 @@ fn memo_hits_stay_byte_identical_under_clear_cache() {
     let total = requests.len() * (2 + THREADS * ROUNDS);
     assert_eq!(stats.loads, total as u64);
 }
+
+/// Threads racing to fill the estimate memo — the same programs on
+/// overlapping fabrics, through `estimate`, `compare` and `batch`, with
+/// the programs resident but no estimate computed yet — get the bytes a
+/// fresh session gives serially. Racing computations must agree bit for
+/// bit, whichever one the memo keeps.
+#[test]
+fn hammered_estimate_memo_matches_a_fresh_session() {
+    let mut requests = Vec::new();
+    for name in ["8bitadder", "qft_8"] {
+        for (w, h) in [(20, 20), (60, 60), (14, 30), (3, 3)] {
+            let spec = ProgramSpec::bench(name);
+            requests.push(Request::Estimate(
+                EstimateRequest::new(spec.clone()).with_fabric(w, h),
+            ));
+        }
+        let spec = ProgramSpec::bench(name);
+        requests.push(Request::Estimate(EstimateRequest::new(spec.clone())));
+        requests.push(Request::Compare(
+            CompareRequest::new(spec).with_fabric(20, 20),
+        ));
+    }
+    // The reference: a fresh session per request, each program resident
+    // first so every flag reads as the warm session's will.
+    let (expected, expected_batch): (Vec<String>, Vec<String>) = requests
+        .iter()
+        .enumerate()
+        .map(|(i, req)| {
+            let fresh = Session::builder().build().unwrap();
+            fresh.load(req.program()).unwrap();
+            let reply = fresh.execute(req);
+            let in_batch = reply
+                .clone()
+                .map_err(|e| e.context(format!("batch request {i}")));
+            (wire(&reply), wire(&in_batch))
+        })
+        .unzip();
+
+    let session = Session::builder().build().unwrap();
+    for req in &requests {
+        session.load(req.program()).unwrap();
+    }
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 3;
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (session, requests) = (&session, &requests);
+            let (expected, expected_batch) = (&expected, &expected_batch);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    for k in 0..requests.len() {
+                        let i = (k + t + round) % requests.len();
+                        let got = wire(&session.execute(&requests[i]));
+                        assert_eq!(got, expected[i], "request {i} diverged");
+                    }
+                    // And once per round as a batch, slot by slot.
+                    let batch = session.batch(requests);
+                    for (i, slot) in batch.results.iter().enumerate() {
+                        assert_eq!(wire(slot), expected_batch[i], "batch slot {i} diverged");
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(session.cache_stats().profile_builds, 2);
+}

@@ -585,3 +585,170 @@ fn errors_are_never_memoized() {
     }
     assert_eq!(s.cache_stats(), before);
 }
+
+// ── Estimate memo ────────────────────────────────────────────────────────
+
+/// A reply's wire bytes, for bit-for-bit comparison.
+fn bytes(resp: &leqa_api::EstimateResponse) -> String {
+    resp.to_json().encode()
+}
+
+/// What a warm session must answer: a fresh session's reply, carrying the
+/// `profile_cached` flag the warm session reports.
+fn fresh_bytes(s: &Session, req: &EstimateRequest, cached: bool) -> String {
+    let mut fresh = s.estimate(req).unwrap();
+    fresh.profile_cached = cached;
+    bytes(&fresh)
+}
+
+/// Fabric sequences A, B, A — with B an override equal to the session
+/// fabric, which shares the memo slot of a request without an override —
+/// answer exactly what a fresh session answers, `profile_cached` included.
+#[test]
+fn repeat_estimates_across_fabrics_match_a_fresh_session() {
+    let s = session();
+    let plain = EstimateRequest::new(ProgramSpec::bench("8bitadder"));
+    let a = plain.clone().with_fabric(30, 20);
+    let b = plain.clone().with_fabric(60, 60);
+    assert_eq!(s.fabric(), leqa_fabric::FabricDims::new(60, 60).unwrap());
+    let sequence = [
+        (&a, false),
+        (&b, true),
+        (&a, true),
+        (&plain, true),
+        (&b, true),
+    ];
+    for (i, (req, cached)) in sequence.into_iter().enumerate() {
+        let got = s.estimate(req).unwrap();
+        assert_eq!(got.profile_cached, cached, "request {i}");
+        assert_eq!(
+            bytes(&got),
+            fresh_bytes(&session(), req, cached),
+            "request {i}"
+        );
+    }
+    assert_eq!(s.cache_stats().profile_builds, 1);
+}
+
+/// One program reached by name and by inline text: the memo serves both,
+/// and each reply keeps the label its own spec implies.
+#[test]
+fn memo_hits_keep_each_specs_label() {
+    let s = session();
+    let by_name = EstimateRequest::new(ProgramSpec::bench("qft_8"));
+    let source = s.load(&by_name.program).unwrap().source().to_string();
+    let by_text = EstimateRequest::new(ProgramSpec::source(source));
+    for req in [&by_name, &by_text, &by_name, &by_text] {
+        let got = s.estimate(req).unwrap();
+        assert!(got.profile_cached);
+        assert_eq!(bytes(&got), fresh_bytes(&session(), req, true));
+    }
+    assert_eq!(s.estimate(&by_name).unwrap().program.label, "qft_8");
+    assert_eq!(s.estimate(&by_text).unwrap().program.label, "qft8");
+    assert_eq!(s.cache_stats().cache_misses, 1);
+}
+
+/// A streamed `shor_N_R` asked twice (and on a second fabric) is answered
+/// from the stream entry's memo with the bytes of a fresh session.
+#[test]
+fn streamed_repeats_match_a_fresh_session() {
+    let streaming = || Session::builder().streaming_threshold(0).build().unwrap();
+    let s = streaming();
+    let req = EstimateRequest::new(ProgramSpec::bench("shor_12_2"));
+    let wide = req.clone().with_fabric(80, 80);
+    for (req, cached) in [(&req, false), (&req, true), (&wide, true), (&req, true)] {
+        let got = s.estimate(req).unwrap();
+        assert_eq!(got.profile_cached, cached);
+        assert_eq!(bytes(&got), fresh_bytes(&streaming(), req, cached));
+    }
+    assert_eq!(s.cache_stats().profile_builds, 1);
+}
+
+/// One more distinct fabric than the memo holds, each asked twice in a
+/// row and then all again in order (so every recall of the first fabric
+/// meets an evicted slot): every reply is a fresh session's.
+#[test]
+fn more_fabrics_than_the_memo_holds_stay_exact() {
+    let s = session();
+    let spec = ProgramSpec::bench("qft_8");
+    let requests: Vec<EstimateRequest> = (0..9)
+        .map(|i| EstimateRequest::new(spec.clone()).with_fabric(12 + i, 12 + 2 * i))
+        .collect();
+    let order = requests.iter().flat_map(|req| [req, req]).chain(&requests);
+    for (i, req) in order.enumerate() {
+        let got = s.estimate(req).unwrap();
+        assert_eq!(
+            bytes(&got),
+            fresh_bytes(&session(), req, i > 0),
+            "request {i}"
+        );
+    }
+}
+
+/// A fabric too small for the program fails the same way every time and
+/// leaves no trace: a later fitting fabric is still answered exactly.
+#[test]
+fn fabric_too_small_is_never_memoized() {
+    let s = session();
+    let spec = ProgramSpec::bench("8bitadder");
+    let tiny = EstimateRequest::new(spec.clone()).with_fabric(3, 3);
+    let fresh_err = session().estimate(&tiny).unwrap_err();
+    for _ in 0..2 {
+        let err = s.estimate(&tiny).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Estimate);
+        assert_eq!(err.to_string(), fresh_err.to_string());
+    }
+    let fits = EstimateRequest::new(spec).with_fabric(9, 9);
+    assert_eq!(
+        bytes(&s.estimate(&fits).unwrap()),
+        fresh_bytes(&session(), &fits, true)
+    );
+}
+
+/// `clear_cache` drops the memo with its program: the next estimate is a
+/// cold reply again, rebuilt from a new profile.
+#[test]
+fn clear_cache_drops_the_estimate_memo() {
+    let s = session();
+    let req = EstimateRequest::new(ProgramSpec::bench("qft_16")).with_fabric(20, 20);
+    s.estimate(&req).unwrap();
+    s.clear_cache();
+    for cached in [false, true] {
+        let got = s.estimate(&req).unwrap();
+        assert_eq!(bytes(&got), fresh_bytes(&session(), &req, cached));
+    }
+    assert_eq!(s.cache_stats().profile_builds, 2);
+}
+
+/// `compare`'s `estimated_us` and batch estimates read the same memo and
+/// agree with a fresh session.
+#[test]
+fn compare_and_batch_read_the_estimate_memo() {
+    let s = session();
+    let spec = ProgramSpec::bench("8bitadder");
+    let on = EstimateRequest::new(spec.clone()).with_fabric(14, 14);
+    s.estimate(&on).unwrap();
+    let compare = CompareRequest::new(spec.clone()).with_fabric(14, 14);
+    let got = s.compare(&compare).unwrap();
+    let fresh = session().compare(&compare).unwrap();
+    assert_eq!(got.estimated_us.to_bits(), fresh.estimated_us.to_bits());
+    assert_eq!(
+        got.estimated_us.to_bits(),
+        s.estimate(&on).unwrap().latency_us.to_bits()
+    );
+
+    let requests: Vec<Request> = [on.clone(), EstimateRequest::new(spec), on.clone()]
+        .into_iter()
+        .map(Request::Estimate)
+        .collect();
+    let batch = s.batch(&requests);
+    for (slot, req) in batch.results.iter().zip(&requests) {
+        let Ok(Response::Estimate(got)) = slot else {
+            panic!("estimate slot: {slot:?}")
+        };
+        let Request::Estimate(req) = req else {
+            unreachable!()
+        };
+        assert_eq!(bytes(got), fresh_bytes(&session(), req, true));
+    }
+}

@@ -80,13 +80,22 @@ impl Circuit {
     /// Returns [`CircuitError::QubitOutOfRange`] if the gate touches a wire
     /// at or beyond [`num_qubits`](Self::num_qubits).
     pub fn push(&mut self, gate: Gate) -> Result<(), CircuitError> {
-        for q in gate.qubits() {
-            if q.0 >= self.num_qubits {
-                return Err(CircuitError::QubitOutOfRange {
-                    qubit: q,
-                    num_qubits: self.num_qubits,
-                });
+        // Checked in place, in `Gate::qubits` order (controls first), so
+        // the first operand out of range is the one reported.
+        let num_qubits = self.num_qubits;
+        let beyond = |q: &QubitId| q.0 >= num_qubits;
+        let out_of_range = match &gate {
+            Gate::OneQubit { target, .. } => [*target].into_iter().find(beyond),
+            Gate::Cnot { control, target } => [*control, *target].into_iter().find(beyond),
+            Gate::Toffoli { c1, c2, target } => [*c1, *c2, *target].into_iter().find(beyond),
+            Gate::Fredkin { control, a, b } => [*control, *a, *b].into_iter().find(beyond),
+            Gate::Mct { controls, target } => {
+                controls.iter().copied().chain([*target]).find(beyond)
             }
+            Gate::Mcf { controls, a, b } => controls.iter().copied().chain([*a, *b]).find(beyond),
+        };
+        if let Some(qubit) = out_of_range {
+            return Err(CircuitError::QubitOutOfRange { qubit, num_qubits });
         }
         self.gates.push(gate);
         Ok(())
@@ -160,6 +169,11 @@ pub struct FtCircuit {
 }
 
 impl FtCircuit {
+    /// Reserves room for exactly `additional` more ops.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.ops.reserve_exact(additional);
+    }
+
     /// Creates an empty FT circuit over `num_qubits` wires.
     pub fn new(num_qubits: u32) -> Self {
         FtCircuit {
@@ -268,6 +282,31 @@ mod tests {
             c.push(Gate::not(QubitId(2))),
             Err(CircuitError::QubitOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn push_reports_the_first_operand_out_of_range() {
+        let q = |i: u32| QubitId(i);
+        let gates = [
+            Gate::not(q(9)),
+            Gate::cnot(q(1), q(8)).unwrap(),
+            Gate::cnot(q(9), q(8)).unwrap(),
+            Gate::toffoli(q(0), q(7), q(9)).unwrap(),
+            Gate::fredkin(q(9), q(1), q(8)).unwrap(),
+            Gate::mct(vec![q(0), q(1), q(8)], q(9)).unwrap(),
+            Gate::mct(vec![q(0), q(1), q(2)], q(9)).unwrap(),
+            Gate::mcf(vec![q(0), q(1)], q(9), q(8)).unwrap(),
+            Gate::mcf(vec![q(9), q(1)], q(2), q(8)).unwrap(),
+        ];
+        for gate in gates {
+            let first = *gate.qubits().iter().find(|w| w.0 >= 4).unwrap();
+            let err = Circuit::new(4).push(gate.clone()).unwrap_err();
+            let want = CircuitError::QubitOutOfRange {
+                qubit: first,
+                num_qubits: 4,
+            };
+            assert_eq!(err, want, "{gate:?}");
+        }
     }
 
     #[test]

@@ -46,6 +46,9 @@ use crate::{Circuit, CircuitError, Gate, QubitId};
 pub fn parse(text: &str) -> Result<Circuit, CircuitError> {
     let mut circuit: Option<Circuit> = None;
     let mut name: Option<String> = None;
+    // Reused from line to line: a line's operand tokens, and its qubits.
+    let mut rest: Vec<&str> = Vec::new();
+    let mut qubits: Vec<QubitId> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -59,7 +62,8 @@ pub fn parse(text: &str) -> Result<Circuit, CircuitError> {
         }
         let mut tokens = line.split_whitespace();
         let head = tokens.next().expect("non-empty line has a token");
-        let rest: Vec<&str> = tokens.collect();
+        rest.clear();
+        rest.extend(tokens);
 
         match head {
             ".name" => {
@@ -78,11 +82,8 @@ pub fn parse(text: &str) -> Result<Circuit, CircuitError> {
                     line: line_no,
                     message: "gate before `.qubits` declaration".into(),
                 })?;
-                let gate = parse_gate(head, &rest, line_no)?;
-                c.push(gate).map_err(|e| CircuitError::Parse {
-                    line: line_no,
-                    message: e.to_string(),
-                })?;
+                let gate = parse_gate(head, &rest, &mut qubits, line_no)?;
+                c.push(gate).map_err(wrap(line_no))?;
             }
         }
     }
@@ -106,17 +107,21 @@ fn parse_count(rest: &[&str], line: usize) -> Result<u32, CircuitError> {
     })
 }
 
-fn parse_qubits(rest: &[&str], line: usize) -> Result<Vec<QubitId>, CircuitError> {
-    rest.iter()
-        .map(|t| {
-            t.parse::<u32>()
-                .map(QubitId)
-                .map_err(|_| CircuitError::Parse {
-                    line,
-                    message: format!("invalid qubit index `{t}`"),
-                })
-        })
-        .collect()
+/// Parses `tokens` as qubit indices into `out` (cleared first).
+fn parse_qubits<'q>(
+    tokens: &[&str],
+    line: usize,
+    out: &'q mut Vec<QubitId>,
+) -> Result<&'q [QubitId], CircuitError> {
+    out.clear();
+    for t in tokens {
+        let q = t.parse::<u32>().map_err(|_| CircuitError::Parse {
+            line,
+            message: format!("invalid qubit index `{t}`"),
+        })?;
+        out.push(QubitId(q));
+    }
+    Ok(out)
 }
 
 fn arity_error(head: &str, want: usize, got: usize, line: usize) -> CircuitError {
@@ -133,54 +138,92 @@ fn wrap(line: usize) -> impl Fn(CircuitError) -> CircuitError {
     }
 }
 
-fn parse_gate(head: &str, rest: &[&str], line: usize) -> Result<Gate, CircuitError> {
-    let one_qubit = |kind: OneQubitKind| -> Result<Gate, CircuitError> {
-        let qs = parse_qubits(rest, line)?;
-        if qs.len() != 1 {
-            return Err(arity_error(head, 1, qs.len(), line));
+/// The gate forms of the text format.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    OneQubit(OneQubitKind),
+    Cnot,
+    Toffoli,
+    Fredkin,
+    Mct,
+    Mcf,
+}
+
+impl Form {
+    /// The form a mnemonic names, in any letter case.
+    fn of(mnemonic: &str) -> Option<Form> {
+        // The longest mnemonics (`toffoli`, `fredkin`) have seven letters.
+        let mut buf = [0u8; 7];
+        let lower = buf.get_mut(..mnemonic.len())?;
+        lower.copy_from_slice(mnemonic.as_bytes());
+        lower.make_ascii_lowercase();
+        Some(match &*lower {
+            b"h" => Form::OneQubit(OneQubitKind::H),
+            b"t" => Form::OneQubit(OneQubitKind::T),
+            b"tdg" | b"t+" => Form::OneQubit(OneQubitKind::Tdg),
+            b"s" => Form::OneQubit(OneQubitKind::S),
+            b"sdg" | b"s+" => Form::OneQubit(OneQubitKind::Sdg),
+            b"x" | b"not" => Form::OneQubit(OneQubitKind::X),
+            b"y" => Form::OneQubit(OneQubitKind::Y),
+            b"z" => Form::OneQubit(OneQubitKind::Z),
+            b"cnot" => Form::Cnot,
+            b"toffoli" => Form::Toffoli,
+            b"fredkin" => Form::Fredkin,
+            b"mct" => Form::Mct,
+            b"mcf" => Form::Mcf,
+            _ => return None,
+        })
+    }
+}
+
+fn parse_gate(
+    head: &str,
+    rest: &[&str],
+    buf: &mut Vec<QubitId>,
+    line: usize,
+) -> Result<Gate, CircuitError> {
+    let form = Form::of(head).ok_or_else(|| CircuitError::Parse {
+        line,
+        message: format!("unknown gate `{}`", head.to_ascii_lowercase()),
+    })?;
+    let exactly = |want: usize, qs: &[QubitId]| {
+        if qs.len() == want {
+            Ok(())
+        } else {
+            Err(arity_error(head, want, qs.len(), line))
         }
-        Ok(Gate::one_qubit(kind, qs[0]))
     };
 
-    match head.to_ascii_lowercase().as_str() {
-        "h" => one_qubit(OneQubitKind::H),
-        "t" => one_qubit(OneQubitKind::T),
-        "tdg" | "t+" => one_qubit(OneQubitKind::Tdg),
-        "s" => one_qubit(OneQubitKind::S),
-        "sdg" | "s+" => one_qubit(OneQubitKind::Sdg),
-        "x" | "not" => one_qubit(OneQubitKind::X),
-        "y" => one_qubit(OneQubitKind::Y),
-        "z" => one_qubit(OneQubitKind::Z),
-        "cnot" => {
-            let qs = parse_qubits(rest, line)?;
-            if qs.len() != 2 {
-                return Err(arity_error(head, 2, qs.len(), line));
-            }
+    match form {
+        Form::OneQubit(kind) => {
+            let qs = parse_qubits(rest, line, buf)?;
+            exactly(1, qs)?;
+            Ok(Gate::one_qubit(kind, qs[0]))
+        }
+        Form::Cnot => {
+            let qs = parse_qubits(rest, line, buf)?;
+            exactly(2, qs)?;
             Gate::cnot(qs[0], qs[1]).map_err(wrap(line))
         }
-        "toffoli" => {
-            let qs = parse_qubits(rest, line)?;
-            if qs.len() != 3 {
-                return Err(arity_error(head, 3, qs.len(), line));
-            }
+        Form::Toffoli => {
+            let qs = parse_qubits(rest, line, buf)?;
+            exactly(3, qs)?;
             Gate::toffoli(qs[0], qs[1], qs[2]).map_err(wrap(line))
         }
-        "fredkin" => {
-            let qs = parse_qubits(rest, line)?;
-            if qs.len() != 3 {
-                return Err(arity_error(head, 3, qs.len(), line));
-            }
+        Form::Fredkin => {
+            let qs = parse_qubits(rest, line, buf)?;
+            exactly(3, qs)?;
             Gate::fredkin(qs[0], qs[1], qs[2]).map_err(wrap(line))
         }
-        "mct" => {
-            let qs = parse_qubits(rest, line)?;
+        Form::Mct => {
+            let qs = parse_qubits(rest, line, buf)?;
             if qs.len() < 2 {
                 return Err(arity_error(head, 2, qs.len(), line));
             }
             let (target, controls) = qs.split_last().expect("checked length");
             Gate::mct(controls.to_vec(), *target).map_err(wrap(line))
         }
-        "mcf" => {
+        Form::Mcf => {
             let sep = rest
                 .iter()
                 .position(|&t| t == ":")
@@ -188,8 +231,8 @@ fn parse_gate(head: &str, rest: &[&str], line: usize) -> Result<Gate, CircuitErr
                     line,
                     message: "`mcf` needs `controls : a b`".into(),
                 })?;
-            let controls = parse_qubits(&rest[..sep], line)?;
-            let targets = parse_qubits(&rest[sep + 1..], line)?;
+            let controls = parse_qubits(&rest[..sep], line, buf)?.to_vec();
+            let targets = parse_qubits(&rest[sep + 1..], line, buf)?;
             if targets.len() != 2 {
                 return Err(CircuitError::Parse {
                     line,
@@ -198,54 +241,95 @@ fn parse_gate(head: &str, rest: &[&str], line: usize) -> Result<Gate, CircuitErr
             }
             Gate::mcf(controls, targets[0], targets[1]).map_err(wrap(line))
         }
-        other => Err(CircuitError::Parse {
-            line,
-            message: format!("unknown gate `{other}`"),
-        }),
     }
 }
 
 /// Renders a circuit back to the text format; `parse(&write(c))` round-trips.
 pub fn write(circuit: &Circuit) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+    // Most gate lines are a short mnemonic and two or three indices.
+    let mut out = Vec::with_capacity(32 + 16 * circuit.gates().len());
     if let Some(name) = circuit.name() {
-        let _ = writeln!(out, ".name {name}");
+        out.extend_from_slice(b".name ");
+        out.extend_from_slice(name.as_bytes());
+        out.push(b'\n');
     }
-    let _ = writeln!(out, ".qubits {}", circuit.num_qubits());
+    out.extend_from_slice(b".qubits");
+    push_indices(&mut out, &[circuit.num_qubits()]);
     for gate in circuit.gates() {
         match gate {
             Gate::OneQubit { kind, target } => {
-                let mnemonic = match kind {
-                    OneQubitKind::Tdg => "tdg",
-                    OneQubitKind::Sdg => "sdg",
-                    k => {
-                        let _ = writeln!(out, "{} {}", k.mnemonic().to_ascii_lowercase(), target.0);
-                        continue;
-                    }
-                };
-                let _ = writeln!(out, "{mnemonic} {}", target.0);
+                out.extend_from_slice(match kind {
+                    OneQubitKind::H => b"h",
+                    OneQubitKind::T => b"t",
+                    OneQubitKind::Tdg => b"tdg",
+                    OneQubitKind::S => b"s",
+                    OneQubitKind::Sdg => b"sdg",
+                    OneQubitKind::X => b"x",
+                    OneQubitKind::Y => b"y",
+                    OneQubitKind::Z => b"z",
+                });
+                push_indices(&mut out, &[target.0]);
             }
             Gate::Cnot { control, target } => {
-                let _ = writeln!(out, "cnot {} {}", control.0, target.0);
+                out.extend_from_slice(b"cnot");
+                push_indices(&mut out, &[control.0, target.0]);
             }
             Gate::Toffoli { c1, c2, target } => {
-                let _ = writeln!(out, "toffoli {} {} {}", c1.0, c2.0, target.0);
+                out.extend_from_slice(b"toffoli");
+                push_indices(&mut out, &[c1.0, c2.0, target.0]);
             }
             Gate::Fredkin { control, a, b } => {
-                let _ = writeln!(out, "fredkin {} {} {}", control.0, a.0, b.0);
+                out.extend_from_slice(b"fredkin");
+                push_indices(&mut out, &[control.0, a.0, b.0]);
             }
             Gate::Mct { controls, target } => {
-                let list: Vec<String> = controls.iter().map(|q| q.0.to_string()).collect();
-                let _ = writeln!(out, "mct {} {}", list.join(" "), target.0);
+                out.extend_from_slice(b"mct ");
+                push_list(&mut out, controls);
+                push_indices(&mut out, &[target.0]);
             }
             Gate::Mcf { controls, a, b } => {
-                let list: Vec<String> = controls.iter().map(|q| q.0.to_string()).collect();
-                let _ = writeln!(out, "mcf {} : {} {}", list.join(" "), a.0, b.0);
+                out.extend_from_slice(b"mcf ");
+                push_list(&mut out, controls);
+                out.extend_from_slice(b" :");
+                push_indices(&mut out, &[a.0, b.0]);
             }
         }
     }
-    out
+    String::from_utf8(out).expect("ASCII around a UTF-8 name")
+}
+
+/// Appends ` i` for each index, then ends the line.
+fn push_indices(out: &mut Vec<u8>, indices: &[u32]) {
+    for &i in indices {
+        out.push(b' ');
+        push_u32(out, i);
+    }
+    out.push(b'\n');
+}
+
+/// Appends a space-separated qubit list, with no leading or trailing space.
+fn push_list(out: &mut Vec<u8>, qubits: &[QubitId]) {
+    for (k, q) in qubits.iter().enumerate() {
+        if k > 0 {
+            out.push(b' ');
+        }
+        push_u32(out, q.0);
+    }
+}
+
+/// Appends `v` in decimal.
+fn push_u32(out: &mut Vec<u8>, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 #[cfg(test)]
